@@ -19,17 +19,6 @@
 namespace psi {
 namespace fast {
 
-namespace {
-
-/** Words per process window inside each stack area. */
-constexpr std::uint32_t kProcWindow = 1u << 24;
-
-/** Heap-resident shared registry (below the vector region). */
-constexpr std::uint32_t kGlobalRegBase = kl0::kVectorBase - 64;
-constexpr std::uint32_t kGlobalRegSlots = 16;
-
-} // namespace
-
 bool
 FastEngine::execIs()
 {
@@ -194,12 +183,10 @@ FastEngine::builtinVector(kl0::Builtin b)
             return false;
         }
         std::uint32_t base = _vecTop;
-        write(LogicalAddr(Area::Heap, base), TaggedWord::makeInt(n));
-        for (std::int32_t i = 0; i < n; ++i) {
-            write(LogicalAddr(Area::Heap,
-                              base + 1 + static_cast<std::uint32_t>(i)),
+        FlatArea &heap = _area[static_cast<int>(Area::Heap)];
+        heap.write(base, TaggedWord::makeInt(n));
+        heap.fill(base + 1, static_cast<std::uint32_t>(n),
                   TaggedWord::makeInt(0));
-        }
         _vecTop += static_cast<std::uint32_t>(n) + 1;
         return unify(_a[1],
                      {Tag::Vector, LogicalAddr(Area::Heap, base).pack()});
@@ -808,10 +795,10 @@ FastEngine::builtinGlobal(kl0::Builtin b)
     if (dk.unbound || dk.word.tag != Tag::Int)
         return false;
     std::int32_t k = dk.word.asInt();
-    if (k < 0 || k >= static_cast<std::int32_t>(kGlobalRegSlots))
+    if (k < 0 || k >= static_cast<std::int32_t>(kl0::kGlobalRegSlots))
         return false;
     LogicalAddr slot(Area::Heap,
-                     kGlobalRegBase + static_cast<std::uint32_t>(k));
+                     kl0::kGlobalRegBase + static_cast<std::uint32_t>(k));
 
     if (b == kl0::Builtin::GlobalSet) {
         Deref dv = deref(_a[1]);
@@ -923,7 +910,7 @@ FastEngine::builtinProcessCall()
         return false;
     }
     std::int32_t pid = dp.word.asInt();
-    if (pid < 1 || pid >= 8)
+    if (pid < 1 || pid >= static_cast<std::int32_t>(interp::kProcesses))
         return false;
     std::uint32_t f =
         _syms.functor(_syms.atomName(df.word.data), 0);
@@ -966,8 +953,9 @@ FastEngine::builtinProcessCall()
     }
 
     // ---- enter the target process's areas --------------------------
-    std::uint32_t base = static_cast<std::uint32_t>(pid) * kProcWindow +
-                         interp::kStackBase;
+    std::uint32_t base =
+        static_cast<std::uint32_t>(pid) * interp::kProcWindow +
+        interp::kStackBase;
     _gt = base;
     _lt = base;
     _ct = base;

@@ -10,7 +10,11 @@
 
 #include "fast/fast_engine.hpp"
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <new>
+#include <utility>
 
 #include "base/logging.hpp"
 #include "kl0/reader.hpp"
@@ -33,45 +37,161 @@ intWord(std::uint32_t v)
     return {Tag::Int, v};
 }
 
+/** Words a segment allocates on its first write (32 KB). */
+constexpr std::uint32_t kMinSegmentWords = 1u << 12;
+
+/** Area offsets are 28 bits: the last segment ends there. */
+constexpr std::uint32_t kAreaWords = 1u << 28;
+
+/** Stack-area segments: one per process_call window. */
+std::vector<std::uint32_t>
+processWindowBases()
+{
+    std::vector<std::uint32_t> bases;
+    for (std::uint32_t p = 1; p < interp::kProcesses; ++p)
+        bases.push_back(p * interp::kProcWindow);
+    return bases;
+}
+
 } // namespace
+
+void
+FlatArea::FreeWords::operator()(TaggedWord *p) const
+{
+    std::free(p);
+}
+
+FlatArea::FlatArea(const std::vector<std::uint32_t> &high_bases)
+    : _high(high_bases.size())
+{
+    Segment *prev = &_low;
+    for (std::size_t i = 0; i < high_bases.size(); ++i) {
+        PSI_ASSERT(high_bases[i] > prev->base,
+                   "segment bases must ascend");
+        _high[i].base = high_bases[i];
+        prev->limit = high_bases[i] - prev->base;
+        prev = &_high[i];
+    }
+    prev->limit = kAreaWords - prev->base;
+}
+
+void
+FlatArea::Segment::grow(std::uint32_t need)
+{
+    PSI_ASSERT(need <= limit, "segment overflow");
+    std::uint64_t n =
+        std::max<std::uint64_t>(kMinSegmentWords, 2ull * size);
+    while (n < need)
+        n <<= 1;
+    n = std::min<std::uint64_t>(n, limit);
+    // calloc: all-zero bytes are the Undef word, and a large block
+    // comes zero-mapped, so untouched words cost no resident memory.
+    auto *fresh = static_cast<TaggedWord *>(
+        std::calloc(n, sizeof(TaggedWord)));
+    if (fresh == nullptr)
+        throw std::bad_alloc();
+    std::copy_n(words.get(), hwm, fresh);
+    words.reset(fresh);
+    size = static_cast<std::uint32_t>(n);
+}
+
+void
+FlatArea::Segment::clear()
+{
+    // All-zero bytes are the Undef word; memset, because a fill of
+    // TaggedWord{} compiles to a byte and a word store per element.
+    if (hwm > 0)
+        std::memset(static_cast<void *>(words.get()), 0,
+                    std::size_t{hwm} * sizeof(TaggedWord));
+    hwm = 0;
+}
+
+const FlatArea::Segment &
+FlatArea::segmentFor(std::uint32_t off) const
+{
+    for (auto s = _high.rbegin(); s != _high.rend(); ++s) {
+        if (off >= s->base)
+            return *s;
+    }
+    return _low;
+}
+
+FlatArea::Segment &
+FlatArea::segmentFor(std::uint32_t off)
+{
+    return const_cast<Segment &>(std::as_const(*this).segmentFor(off));
+}
+
+TaggedWord
+FlatArea::readSlow(std::uint32_t off) const
+{
+    const Segment &s = segmentFor(off);
+    std::uint32_t i = off - s.base;
+    return i < s.size ? s.words[i] : TaggedWord{};
+}
+
+void
+FlatArea::fill(std::uint32_t off, std::uint32_t n, const TaggedWord &w)
+{
+    Segment &s = segmentFor(off);
+    std::uint32_t i = off - s.base;
+    PSI_ASSERT(n <= s.limit - i, "fill crosses a segment end");
+    if (i + n > s.size)
+        s.grow(i + n);
+    std::fill_n(s.words.get() + i, n, w);
+    s.hwm = std::max(s.hwm, i + n);
+}
 
 void
 FlatArea::clear()
 {
-    for (std::uint32_t idx : _mapped)
-        std::memset(_pages[idx].get(), 0,
-                    kPageWords * sizeof(TaggedWord));
+    _low.clear();
+    clearHigh();
 }
 
-TaggedWord *
-FlatArea::page(std::uint32_t idx)
+void
+FlatArea::clearHigh()
 {
-    std::unique_ptr<TaggedWord[]> &p = _pages[idx];
-    if (!p) {
-        p.reset(new TaggedWord[kPageWords]());
-        _mapped.push_back(idx);
-    }
-    return p.get();
+    for (Segment &s : _high)
+        s.clear();
 }
 
-FastEngine::FastEngine() : _codegen(_qmem, _syms) {}
+void
+FlatHeap::clear()
+{
+    for (std::uint32_t off : _poked)
+        _area->write(off, TaggedWord{});
+    _poked.clear();
+    _area->clearHigh();
+}
+
+FastEngine::FastEngine()
+    : _area{FlatArea({kl0::kGlobalRegBase}),
+            FlatArea(processWindowBases()),
+            FlatArea(processWindowBases()),
+            FlatArea(processWindowBases()),
+            FlatArea(processWindowBases())},
+      _heap(_area[static_cast<int>(Area::Heap)]),
+      _codegen(_heap, _syms)
+{
+    static_assert(kNumAreas == 5 && static_cast<int>(Area::Heap) == 0,
+                  "one FlatArea per logical area, heap first");
+}
 
 void
 FastEngine::load(const kl0::CompiledProgram &image)
 {
-    for (FlatArea &a : _area)
-        a.clear();
-    _qmem.reset();
+    _heap.clear();
+    for (int a = 1; a < kNumAreas; ++a)
+        _area[a].clear();
     _syms = image.symbols();
     _codegen.restore(image.codegen());
     // Query code compiled against this image must use the same
     // compile options (a $queryN/0 predicate is never indexed, but
     // the builtin specialization must agree with the image).
     _codegen.setOptions(image.options());
-    for (const PokeRecord &p : image.image()) {
-        _qmem.poke(p.addr, p.word);
-        write(p.addr, p.word);
-    }
+    for (const PokeRecord &p : image.image())
+        _heap.poke(p.addr, p.word);
     resetRun();
     _vecTop = kl0::kVectorBase;
     _maxOutputBytes = 1 << 20;
@@ -91,16 +211,10 @@ FastEngine::solve(const std::string &query_text,
 interp::RunResult
 FastEngine::solve(const kl0::TermPtr &goal, const RunLimits &limits)
 {
-    // The shared CodeGen emits into the scratch MemorySystem; mirror
-    // its poke log into the flat heap so the query code, clause table
-    // and directory entry land at the same logical addresses the
-    // fidelity engine executes from.
-    _queryPokes.clear();
-    _qmem.setPokeLog(&_queryPokes);
+    // The shared CodeGen emits into the flat heap, so the query code,
+    // clause table and directory entry land at the same logical
+    // addresses the fidelity engine executes from.
     kl0::QueryCode qc = _codegen.compileQuery(goal);
-    _qmem.setPokeLog(nullptr);
-    for (const PokeRecord &p : _queryPokes)
-        write(p.addr, p.word);
     return run(qc, limits);
 }
 

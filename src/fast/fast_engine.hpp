@@ -8,9 +8,10 @@
  * no module/branch tagging.  The instruction stream is the same
  * flattened, contiguous image of tagged words the fidelity engine
  * executes - replayed from the immutable kl0::CompiledProgram into
- * paged flat arrays - and the main loop dispatches on the instruction
- * tag token directly (computed goto under GCC/Clang, a switch
- * elsewhere).
+ * contiguous flat segments (FlatArea) - and the main loop dispatches
+ * on the instruction tag token directly (computed goto under
+ * GCC/Clang, a switch elsewhere).  Queries are compiled by the shared
+ * kl0::CodeGen straight into the flat heap (FlatHeap).
  *
  * Fidelity contract: answers, solution sets, ordering and write/nl/tab
  * output are byte-identical to interp::Engine for any terminating
@@ -57,51 +58,134 @@
 #include "kl0/compiled_program.hpp"
 #include "kl0/symbols.hpp"
 #include "mem/area.hpp"
-#include "mem/memory_system.hpp"
+#include "mem/heap_store.hpp"
 #include "mem/tagged_word.hpp"
 
 namespace psi {
 namespace fast {
 
 /**
- * Paged flat storage for one logical area (28-bit word offsets).
+ * Flat storage for one logical area (28-bit word offsets) as
+ * contiguous word segments.
  *
- * Pages are allocated zeroed on first write and kept mapped across
- * clear() so a warm engine reloading the same image does not churn
- * the allocator.  A read of a never-written word returns the Undef
- * word, matching MemorySystem::peek of untouched memory.
+ * Every area has a low segment starting at offset 0.  An area may
+ * declare high bases, each starting another segment that spans up to
+ * the next base: the heap one at its global-register slots (which
+ * sit just below the run-time vectors), each stack area one per
+ * process_call window.  A segment is allocated on its first write
+ * and grows, zero-filled, towards its limit as writes reach past its
+ * end; clear() keeps the storage, so a warm engine stops allocating
+ * once its segments fit the largest request it has served.
+ *
+ * A read in the low segment is one bounds compare plus one load.  A
+ * word never written - or past the end of its segment - reads as the
+ * Undef word, matching MemorySystem::peek of untouched memory.  Each
+ * segment keeps a high-water mark (one past the highest word written
+ * since the last clear), so clear() resets only what was touched.
  */
 class FlatArea
 {
   public:
-    static constexpr std::uint32_t kPageShift = 14;
-    static constexpr std::uint32_t kPageWords = 1u << kPageShift;
-    static constexpr std::uint32_t kPageMask = kPageWords - 1;
-    static constexpr std::uint32_t kPageCount = 1u << (28 - kPageShift);
-
-    FlatArea() : _pages(kPageCount) {}
+    /** An area with segments at 0 and at each of @p high_bases
+     *  (ascending, nonzero). */
+    explicit FlatArea(const std::vector<std::uint32_t> &high_bases);
 
     TaggedWord
     read(std::uint32_t off) const
     {
-        const TaggedWord *p = _pages[off >> kPageShift].get();
-        return p ? p[off & kPageMask] : TaggedWord{};
+        if (off < _low.size)
+            return _low.words[off];
+        return readSlow(off);
     }
 
     void
     write(std::uint32_t off, const TaggedWord &w)
     {
-        page(off >> kPageShift)[off & kPageMask] = w;
+        if (off < _low.size) {
+            // Member-wise: a whole-word copy compiles to one 8-byte
+            // load of @p w, which stalls store forwarding when @p w
+            // was just built by a byte store and a 4-byte store.
+            TaggedWord &d = _low.words[off];
+            d.tag = w.tag;
+            d.data = w.data;
+            if (off >= _low.hwm)
+                _low.hwm = off + 1;
+            return;
+        }
+        fill(off, 1, w);
     }
 
-    /** Zero every touched page; keep the pages mapped. */
+    /** write() @p w to the @p n words from @p off, which lie in one
+     *  segment (vector_new initializes a vector's slots in one call). */
+    void fill(std::uint32_t off, std::uint32_t n, const TaggedWord &w);
+
+    /** Reset every word below each segment's high-water mark. */
+    void clear();
+
+    /** clear() the high segments only: the heap resets its low
+     *  segment word by word from the poke log instead. */
+    void clearHigh();
+
+  private:
+    struct FreeWords
+    {
+        void operator()(TaggedWord *p) const;
+    };
+
+    struct Segment
+    {
+        std::unique_ptr<TaggedWord[], FreeWords> words;
+        std::uint32_t size = 0;   ///< words allocated
+        std::uint32_t hwm = 0;    ///< words [0, hwm) may be non-zero
+        std::uint32_t base = 0;   ///< area offset of words[0]
+        std::uint32_t limit = 0;  ///< max size: up to the next base
+
+        void grow(std::uint32_t need);
+        void clear();
+    };
+
+    TaggedWord readSlow(std::uint32_t off) const;
+    const Segment &segmentFor(std::uint32_t off) const;
+    Segment &segmentFor(std::uint32_t off);
+
+    Segment _low;
+    std::vector<Segment> _high;  ///< ascending bases
+};
+
+/**
+ * The heap as the store kl0::CodeGen emits query code through.
+ * Words land directly in the heap area, and every poked offset is
+ * logged - the image replay and each query install go through here -
+ * so clear() can reset the heap's low segment word by word.  That is
+ * complete because a running program writes the heap only through
+ * the global registers and vectors, and both live in the high
+ * segment, which clear() resets by its high-water mark.  The mostly
+ * empty predicate directory is never swept.
+ */
+class FlatHeap final : public HeapStore
+{
+  public:
+    explicit FlatHeap(FlatArea &area) : _area(&area) {}
+
+    TaggedWord
+    peek(const LogicalAddr &addr) override
+    {
+        return _area->read(addr.offset);
+    }
+
+    void
+    poke(const LogicalAddr &addr, const TaggedWord &w) override
+    {
+        _poked.push_back(addr.offset);
+        _area->write(addr.offset, w);
+    }
+
+    /** Return the heap to the never-written state. */
     void clear();
 
   private:
-    TaggedWord *page(std::uint32_t idx);
-
-    std::vector<std::unique_ptr<TaggedWord[]>> _pages;
-    std::vector<std::uint32_t> _mapped;
+    FlatArea *_area;
+    std::vector<std::uint32_t> _poked;
 };
 
 /** The token-threaded flat-dispatch KL0 engine. */
@@ -109,11 +193,18 @@ class FastEngine
 {
   public:
     FastEngine();
+    // The heap store and the code generator point into the engine.
+    FastEngine(const FastEngine &) = delete;
+    FastEngine &operator=(const FastEngine &) = delete;
 
     /**
-     * Install a precompiled image: replay its poke log into the flat
-     * areas and adopt its symbol table and codegen snapshot, exactly
-     * as interp::Engine::load does for the firmware machine.
+     * Install a precompiled image: reset what the previous image and
+     * its queries wrote (the heap words they poked, each area below
+     * its high-water marks), replay the image's poke log into the
+     * flat heap and adopt its symbol table and codegen snapshot, as
+     * interp::Engine::load does for the firmware machine.  The cost
+     * follows what the previous request touched, not what the
+     * engine ever allocated.
      */
     void load(const kl0::CompiledProgram &image);
 
@@ -245,12 +336,9 @@ class FastEngine
 
     // ----- components --------------------------------------------------
     FlatArea _area[kNumAreas];
+    FlatHeap _heap;  ///< _area[Heap] as the code generator's store
     kl0::SymbolTable _syms;
-    /** Scratch memory the shared CodeGen emits query code into; its
-     *  poke log is mirrored into the flat heap after each compile. */
-    MemorySystem _qmem;
     kl0::CodeGen _codegen;
-    std::vector<PokeRecord> _queryPokes;
     bool _loaded = false;
 
     // ----- machine registers -------------------------------------------

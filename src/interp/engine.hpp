@@ -308,7 +308,7 @@ class Engine
         std::uint32_t gt, lt, ct, tt;
         bool started = false;
     };
-    std::array<ProcTops, 8> _procTops{};
+    std::array<ProcTops, kProcesses> _procTops{};
 };
 
 } // namespace interp

@@ -86,6 +86,14 @@ constexpr std::uint32_t kNoChoice = 0;
 /** Stacks start at offset 16 so 0 never aliases a valid frame. */
 constexpr std::uint32_t kStackBase = 16;
 
+/** process_call/2 processes: 0 is the caller, 1..kProcesses-1 the
+ *  callable ones, each with its own window of every stack area. */
+constexpr std::uint32_t kProcesses = 8;
+
+/** Words per process window inside each stack area: process p's
+ *  stacks start at p * kProcWindow + kStackBase. */
+constexpr std::uint32_t kProcWindow = 1u << 24;
+
 /** Words per control-stack frame (the paper's 10-word frames). */
 constexpr std::uint32_t kFrameWords = 10;
 

@@ -34,13 +34,6 @@ namespace {
 constexpr auto kScr = micro::WfMode::Direct00_0F;
 constexpr auto kReg = micro::WfMode::Direct10_3F;
 
-/** Words per process window inside each stack area. */
-constexpr std::uint32_t kProcWindow = 1u << 24;
-
-/** Heap-resident shared registry (below the vector region). */
-constexpr std::uint32_t kGlobalRegBase = kl0::kVectorBase - 64;
-constexpr std::uint32_t kGlobalRegSlots = 16;
-
 } // namespace
 
 bool
@@ -50,10 +43,10 @@ Engine::builtinGlobal(kl0::Builtin b)
     if (dk.unbound || dk.word.tag != Tag::Int)
         return false;
     std::int32_t k = dk.word.asInt();
-    if (k < 0 || k >= static_cast<std::int32_t>(kGlobalRegSlots))
+    if (k < 0 || k >= static_cast<std::int32_t>(kl0::kGlobalRegSlots))
         return false;
     LogicalAddr slot(Area::Heap,
-                     kGlobalRegBase + static_cast<std::uint32_t>(k));
+                     kl0::kGlobalRegBase + static_cast<std::uint32_t>(k));
 
     if (b == kl0::Builtin::GlobalSet) {
         Deref dv = deref(readA(1, Module::Built), Module::Built);

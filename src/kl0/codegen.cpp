@@ -15,7 +15,7 @@ thread_local std::map<const Term *, std::uint32_t> *t_skelAddrs =
 
 } // namespace
 
-CodeGen::CodeGen(MemorySystem &mem, SymbolTable &syms,
+CodeGen::CodeGen(HeapStore &mem, SymbolTable &syms,
                  CompileOptions opts)
     : _mem(&mem), _syms(&syms), _opts(opts)
 {

@@ -37,7 +37,7 @@
 #include "kl0/program.hpp"
 #include "kl0/symbols.hpp"
 #include "kl0/term.hpp"
-#include "mem/memory_system.hpp"
+#include "mem/heap_store.hpp"
 
 namespace psi {
 namespace kl0 {
@@ -49,6 +49,11 @@ constexpr std::uint32_t kDirBase = 16;        ///< predicate directory
 constexpr std::uint32_t kDirWords = 8192;     ///< max functor indices
 constexpr std::uint32_t kCodeBase = kDirBase + kDirWords;
 constexpr std::uint32_t kVectorBase = 1u << 24;  ///< runtime vectors
+/** global_set/global_get registers, the shared registry just below
+ *  the vectors.  With the vectors they are the only heap words a
+ *  program writes at run time. */
+constexpr std::uint32_t kGlobalRegSlots = 16;
+constexpr std::uint32_t kGlobalRegBase = kVectorBase - 64;
 /// @}
 
 /** @name Machine limits */
@@ -156,7 +161,9 @@ struct QueryCode
 class CodeGen
 {
   public:
-    CodeGen(MemorySystem &mem, SymbolTable &syms,
+    /** A generator emitting into @p mem (the fidelity machine's
+     *  MemorySystem or the fast engine's flat heap). */
+    CodeGen(HeapStore &mem, SymbolTable &syms,
             CompileOptions opts = {});
 
     /** The options this generator compiles with. */
@@ -272,7 +279,7 @@ class CodeGen
     bool packable(const TermPtr &arg, const VarMap &vars) const;
     std::uint32_t packOperand(const TermPtr &arg, VarMap &vars);
 
-    MemorySystem *_mem;
+    HeapStore *_mem;
     SymbolTable *_syms;
     CompileOptions _opts;
     std::uint32_t _cursor = kCodeBase;

@@ -17,6 +17,7 @@
 
 #include "mem/area.hpp"
 #include "mem/cache.hpp"
+#include "mem/heap_store.hpp"
 #include "mem/main_memory.hpp"
 #include "mem/tagged_word.hpp"
 #include "mem/trace.hpp"
@@ -38,7 +39,7 @@ struct PokeRecord
 };
 
 /** Translation + cache + main memory, with timing and tracing. */
-class MemorySystem
+class MemorySystem final : public HeapStore
 {
   public:
     explicit MemorySystem(const CacheConfig &config = CacheConfig::psi());
@@ -57,8 +58,8 @@ class MemorySystem
      * Used by the loader (code generation into the heap area happens
      * before measurement starts) and by result extraction.
      */
-    TaggedWord peek(const LogicalAddr &addr);
-    void poke(const LogicalAddr &addr, const TaggedWord &w);
+    TaggedWord peek(const LogicalAddr &addr) override;
+    void poke(const LogicalAddr &addr, const TaggedWord &w) override;
 
     /** Extra nanoseconds spent in memory stalls so far. */
     std::uint64_t stallNs() const { return _stallNs; }

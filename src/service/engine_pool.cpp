@@ -128,8 +128,8 @@ EnginePool::workerMain(unsigned index)
     interp::Engine engine;
     // The fast engine sits beside the fidelity engine: both stay warm
     // so a worker alternating modes never reconstructs either.  It is
-    // only instantiated on the first fast job (its paged areas cost a
-    // little memory a fidelity-only deployment shouldn't pay).
+    // only instantiated on the first fast job (its flat segments cost
+    // a little memory a fidelity-only deployment shouldn't pay).
     std::unique_ptr<fast::FastEngine> fastEngine;
     // The affinity key of the image the warm engine currently
     // holds; the scheduler batches same-key jobs onto this worker.

@@ -9,8 +9,9 @@
  *
  * Covered paths:
  *  - direct FastEngine::load/solve vs runOnPsi, full registry
- *  - the warm-engine EnginePool path (mode = Fast), where an engine
- *    and its paged storage are reused across jobs
+ *  - one warm engine loading the whole registry forward and back,
+ *    and the warm-engine EnginePool path (mode = Fast), where an
+ *    engine and its segment storage are reused across jobs
  *  - per-mode metrics counters and mode echo in JobOutcome
  *
  * The registry includes the stress workloads the dispatch rewrite is
@@ -105,6 +106,130 @@ TEST(FastEngine, WarmEngineRerunsAreIdentical)
     }
 }
 
+/**
+ * One warm engine, every image loaded after every other kind of
+ * image: the whole registry forward, then in reverse.  Each load
+ * resets only what the previous request wrote, so any word that
+ * survives a load would show up here as a diverging answer.  (The
+ * pool path below reaches warm engines too, but in a thread-dependent
+ * order.)
+ */
+TEST(FastEngine, WarmLoadsMatchFidelityInEveryOrder)
+{
+    const auto &programs = programs::allPrograms();
+    std::vector<kl0::CompiledProgram> images;
+    std::vector<PsiRun> fid;
+    for (const auto &p : programs) {
+        images.push_back(kl0::CompiledProgram::compile(p.source));
+        fid.push_back(runOnPsi(p));
+    }
+
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < programs.size(); ++i)
+        order.push_back(i);
+    for (std::size_t i = programs.size(); i-- > 0;)
+        order.push_back(i);
+
+    fast::FastEngine fe;
+    for (std::size_t i : order) {
+        SCOPED_TRACE(programs[i].id);
+        fe.load(images[i]);
+        expectByteIdentical(fe.solve(programs[i].query),
+                            fid[i].result);
+    }
+}
+
+/**
+ * The heap words a program writes at run time - global registers
+ * and vectors - must not outlive a load: after global_set, loading
+ * another image or reloading the same one leaves the register unset,
+ * as on a fresh engine.
+ */
+TEST(FastEngine, LoadResetsGlobalRegisters)
+{
+    auto one = kl0::CompiledProgram::compile("p(1).");
+    auto two = kl0::CompiledProgram::compile("q(2).");
+
+    fast::FastEngine fresh;
+    fresh.load(two);
+    EXPECT_FALSE(fresh.solve("global_get(3, _)").succeeded());
+
+    fast::FastEngine fe;
+    fe.load(one);
+    ASSERT_TRUE(fe.solve("global_set(3, hello)").succeeded());
+    ASSERT_EQ(fe.solve("global_get(3, X)").solutions.at(0).str(),
+              "X = hello");
+    fe.load(two);
+    EXPECT_FALSE(fe.solve("global_get(3, _)").succeeded());
+
+    ASSERT_TRUE(
+        fe.solve("vector_new(4, V), global_set(3, V)").succeeded());
+    fe.load(two);
+    EXPECT_FALSE(fe.solve("global_get(3, _)").succeeded());
+}
+
+/**
+ * The image half of the heap reset: a predicate of the previous image
+ * must not stay reachable through a stale directory word.  Both
+ * images intern r/0 at the same functor index (p's body names it),
+ * but only the first defines it, past the end of the second image's
+ * code, so a stale entry would still lead to a live clause.
+ */
+TEST(FastEngine, LoadForgetsThePreviousImagesPredicates)
+{
+    auto with_r = kl0::CompiledProgram::compile(
+        "p :- q, r.\n"
+        "q :- true, true, true, true, true, true, true, true, true.\n"
+        "r.\n");
+    auto without_r = kl0::CompiledProgram::compile("p :- q, r. q.");
+
+    fast::FastEngine fresh;
+    fresh.load(without_r);
+    ASSERT_FALSE(fresh.solve("p").succeeded());
+
+    fast::FastEngine fe;
+    fe.load(with_r);
+    ASSERT_TRUE(fe.solve("p").succeeded());
+    fe.load(without_r);
+    EXPECT_FALSE(fe.solve("p").succeeded());
+}
+
+/**
+ * FlatArea semantics the engine relies on: unwritten words read as
+ * Undef in and beyond every segment, growth keeps what was written,
+ * a high base starts its own segment (no low-segment growth up to
+ * it), and clear() returns every segment to all-Undef.
+ */
+TEST(FlatArea, SegmentsReadUndefUntilWrittenAndClearResets)
+{
+    const std::uint32_t high = 1u << 24;
+    fast::FlatArea area({high});
+    const TaggedWord undef{};
+    const TaggedWord a{Tag::Int, 7};
+    const TaggedWord b{Tag::Atom, 3};
+
+    EXPECT_EQ(area.read(0), undef);
+    EXPECT_EQ(area.read(high + 5), undef);
+
+    area.write(16, a);
+    area.write(100'000, b); // grows the low segment past 16
+    area.write(high + 5, b);
+    EXPECT_EQ(area.read(16), a);
+    EXPECT_EQ(area.read(100'000), b);
+    EXPECT_EQ(area.read(high + 5), b);
+    EXPECT_EQ(area.read(17), undef);
+    EXPECT_EQ(area.read(high - 1), undef);
+    EXPECT_EQ(area.read(high + 6), undef);
+
+    area.clearHigh();
+    EXPECT_EQ(area.read(high + 5), undef);
+    EXPECT_EQ(area.read(16), a);
+
+    area.clear();
+    EXPECT_EQ(area.read(16), undef);
+    EXPECT_EQ(area.read(100'000), undef);
+}
+
 TEST(FastEngine, PoolPathMatchesFidelityOnFullRegistry)
 {
     const auto &programs = programs::allPrograms();
@@ -115,7 +240,7 @@ TEST(FastEngine, PoolPathMatchesFidelityOnFullRegistry)
     EnginePool pool(config);
 
     // Two passes through the pool: the first pass hits cold workers,
-    // the second reuses warm engines whose paged areas and interned
+    // the second reuses warm engines whose segments and interned
     // state survived a prior job.
     for (int pass = 0; pass < 2; ++pass) {
         SCOPED_TRACE("pass " + std::to_string(pass));

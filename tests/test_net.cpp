@@ -714,19 +714,41 @@ TEST(Retry, OverloadedBackpressureRetriesUntilCapacityFrees)
     // One worker, one queue slot: park two bounded jobs so the pool
     // is saturated, then submitRetry() a third from a second client.
     // Its early attempts are refused OVERLOADED; the retry loop must
-    // back off and land the job once the deadline reaps the parked
-    // work.
+    // back off and land the job once the parked work drains.
     ServerHarness harness(serverConfig(1, 1));
     std::string error;
+
+    // Wait (bounded) until the pool holds @p running jobs on the
+    // worker and @p queued in the queue.  Sent back to back, both
+    // SUBMITs can reach the event loop before the worker pops the
+    // first; the second is then refused itself and the pool never
+    // saturates.  So the second goes out only once the first runs.
+    auto waitForPool = [&](std::uint64_t running, std::uint64_t queued) {
+        auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        for (;;) {
+            service::MetricsSnapshot m = harness.server.metrics();
+            if (m.queueDepth == queued &&
+                m.submitted - m.queueDepth - m.total.completed ==
+                    running) {
+                return true;
+            }
+            if (std::chrono::steady_clock::now() > until)
+                return false;
+            std::this_thread::yield();
+        }
+    };
 
     net::PsiClient pipeline;
     ASSERT_TRUE(
         pipeline.connect("127.0.0.1", harness.port(), &error))
         << error;
-    for (int i = 0; i < 2; ++i)
+    for (std::uint64_t i = 0; i < 2; ++i) {
         ASSERT_TRUE(pipeline.sendSubmit("bup3", 300'000'000ull,
                                         nullptr, &error))
             << error;
+        ASSERT_TRUE(waitForPool(1, i)) << "pool never held job " << i;
+    }
 
     net::PsiClient client;
     client.setRetryPolicy(testRetryPolicy(100, 3));
