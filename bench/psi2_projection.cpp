@@ -5,14 +5,16 @@
  * improving the instruction code suitable for the compile time
  * optimization"), assembled from this evaluation's own findings:
  *
- *  - clause selection by first-argument dispatch (the
- *    compile-time-optimization direction; Table 1 discussion);
+ *  - clause selection through the compiled first-argument index
+ *    (the compile-time-optimization direction; Table 1
+ *    discussion);
  *  - a reduced cache: Figure 1 shows the improvement saturating
  *    near 512 words and one set costing only ~3%, so the projection
  *    uses a 4K-word direct-mapped store-in cache.
  *
- * The bench compares the measured PSI against this projection on
- * the Table 1 programs.  (The real PSI-II, reported at SLP'87,
+ * The bench compares the measured PSI (unindexed code) against this
+ * projection (the same program compiled with the index) on the
+ * Table 1 programs.  (The real PSI-II, reported at SLP'87,
  * gained ~3-5x mostly from a compiled instruction set, beyond this
  * model's scope.)
  */
@@ -26,9 +28,13 @@ namespace {
 
 double
 runMs(const programs::BenchProgram &p, const CacheConfig &cache,
-      const interp::FirmwareOptions &fw)
+      bool indexed)
 {
-    interp::Engine eng(cache, fw);
+    kl0::CompileOptions code;
+    code.firstArgIndexing = indexed;
+    code.specializeBuiltins = false;
+    interp::Engine eng(cache);
+    eng.setCompileOptions(code);
     eng.consult(p.source);
     auto r = eng.solve(p.query);
     if (!r.succeeded())
@@ -44,8 +50,6 @@ main()
     CacheConfig psi2_cache = CacheConfig::psi();
     psi2_cache.capacityWords = 4096;
     psi2_cache.ways = 1;
-    interp::FirmwareOptions psi2_fw;
-    psi2_fw.firstArgIndexing = true;
 
     Table t("PSI (measured) vs PSI-II projection "
             "(4K direct-mapped cache + first-arg dispatch)");
@@ -54,9 +58,8 @@ main()
     for (const auto &p : programs::table1Programs()) {
         if (p.id == "lisp_tarai")
             continue;  // minutes-long; shape shown by the others
-        double t_psi = runMs(p, CacheConfig::psi(),
-                             interp::FirmwareOptions());
-        double t_psi2 = runMs(p, psi2_cache, psi2_fw);
+        double t_psi = runMs(p, CacheConfig::psi(), false);
+        double t_psi2 = runMs(p, psi2_cache, true);
         t.addRow({p.title, f2(t_psi), f2(t_psi2),
                   f2(t_psi / t_psi2)});
     }

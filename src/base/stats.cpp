@@ -6,41 +6,6 @@
 namespace psi {
 namespace stats {
 
-void
-Group::add(const std::string &key, std::uint64_t n)
-{
-    auto it = _values.find(key);
-    if (it == _values.end()) {
-        _values.emplace(key, n);
-        _order.push_back(key);
-    } else {
-        it->second += n;
-    }
-}
-
-std::uint64_t
-Group::get(const std::string &key) const
-{
-    auto it = _values.find(key);
-    return it == _values.end() ? 0 : it->second;
-}
-
-std::uint64_t
-Group::total() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &kv : _values)
-        sum += kv.second;
-    return sum;
-}
-
-void
-Group::reset()
-{
-    _values.clear();
-    _order.clear();
-}
-
 double
 pct(std::uint64_t num, std::uint64_t den)
 {

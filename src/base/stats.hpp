@@ -3,70 +3,18 @@
  * Lightweight statistics primitives used by the machine models.
  *
  * The hardware models keep their own strongly typed counters; this
- * header supplies the shared building blocks: a scalar counter, a
- * named counter group for report generation, and percentage/ratio
- * formatting helpers used throughout the bench binaries.
+ * header supplies the percentage/ratio formatting helpers used
+ * throughout the bench binaries.
  */
 
 #ifndef PSI_BASE_STATS_HPP
 #define PSI_BASE_STATS_HPP
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 namespace psi {
 namespace stats {
-
-/** Monotonic event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void operator++() { ++_value; }
-    void operator++(int) { ++_value; }
-    void operator+=(std::uint64_t n) { _value += n; }
-
-    std::uint64_t value() const { return _value; }
-    void reset() { _value = 0; }
-
-  private:
-    std::uint64_t _value = 0;
-};
-
-/**
- * A flat group of named counters, useful for ad-hoc instrumentation
- * (the strongly typed models convert into one of these for
- * reporting).
- */
-class Group
-{
-  public:
-    explicit Group(std::string name) : _name(std::move(name)) {}
-
-    /** Add @p n to counter @p key, creating it at zero if missing. */
-    void add(const std::string &key, std::uint64_t n = 1);
-
-    /** Value of @p key, or 0 if the counter never fired. */
-    std::uint64_t get(const std::string &key) const;
-
-    /** Sum over all counters in the group. */
-    std::uint64_t total() const;
-
-    /** Keys in insertion order. */
-    const std::vector<std::string> &keys() const { return _order; }
-
-    const std::string &name() const { return _name; }
-
-    void reset();
-
-  private:
-    std::string _name;
-    std::map<std::string, std::uint64_t> _values;
-    std::vector<std::string> _order;
-};
 
 /** @return 100 * num / den, or 0 when den == 0. */
 double pct(std::uint64_t num, std::uint64_t den);

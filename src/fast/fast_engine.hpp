@@ -1,47 +1,37 @@
 /**
  * @file
- * The fast (non-accounting) KL0 execution engine.
+ * The fast (non-accounting) KL0 execution engine: the engine core
+ * (interp/core.hpp) on the Flat access policy, plus a token-threaded
+ * main loop.
  *
- * A statement-for-statement transliteration of the firmware
- * interpreter (src/interp/) with every sequencer interaction removed:
- * no microinstruction stepping, no cache model, no work-file texture,
- * no module/branch tagging.  The instruction stream is the same
- * flattened, contiguous image of tagged words the fidelity engine
- * executes - replayed from the immutable kl0::CompiledProgram into
- * contiguous flat segments (FlatArea) - and the main loop dispatches
- * on the instruction tag token directly (computed goto under
- * GCC/Clang, a switch elsewhere).  Queries are compiled by the shared
- * kl0::CodeGen straight into the flat heap (FlatHeap).
+ * The firmware - unification, clause trial, choice points, the
+ * built-ins, process_call, solution export - is the fidelity
+ * engine's own code, shared through interp::Core; only how a word is
+ * stored and whether a step is charged differ.  Flat keeps each
+ * logical area in contiguous flat segments (FlatArea) replayed from
+ * the immutable kl0::CompiledProgram, its A registers and frame
+ * buffers in a plain array, and its trail on the flat trail stack
+ * (the trail-buffer ablation's layout, which puts every entry at the
+ * same logical position); every sequencer call is an empty inline
+ * function.  The main loop dispatches on the instruction tag token
+ * directly (computed goto under GCC/Clang, a switch elsewhere), and
+ * queries are compiled by the shared kl0::CodeGen straight into the
+ * flat heap (FlatHeap).
  *
- * Fidelity contract: answers, solution sets, ordering and write/nl/tab
- * output are byte-identical to interp::Engine for any terminating
- * query, because the engine replicates
+ * Answers, solution order, write/nl/tab output and warnings are
+ * therefore byte-identical to interp::Engine under the default
+ * FirmwareOptions, including the generated "_G<addr>" variable names,
+ * which encode allocation order.  Compile-time first-argument
+ * indexing is served by the same core walk over the same
+ * heap-resident index.
  *
- *  - the exact logical-address allocation order on every stack (so
- *    exported unbound variables print the same "_G<addr>" names),
- *  - the younger-binds-to-older rule and conditional-trail bounds,
- *  - the frame-buffer alternation, lazy frame flushing, TRO and
- *    determinate-frame-reclamation decisions, and
- *  - the output-cap check order of the firmware built-ins.
- *
- * What is NOT replicated is the accounting: RunResult::steps and
+ * What is NOT reproduced is the accounting: RunResult::steps and
  * timeNs are reported as zero, RunLimits::maxSteps is interpreted as
  * a dispatch-count safety valve (the fidelity engine counts
  * microinstructions, so the same numeric limit trips far later here),
  * and deadlineNs is honored with the same bounded granularity as the
  * fidelity loop (a periodic poll every 4096 dispatches).  The paper's
  * Tables 2-7 are therefore served exclusively by the fidelity engine.
- *
- * Only the default FirmwareOptions are modeled (frame buffers on,
- * trail buffering on, no runtime first-argument probing); the trail
- * buffer is represented by a flat trail stack at the same logical
- * positions, which is observationally identical (same trail tops in
- * choice points, same LIFO unwind order).  Compile-time first-argument
- * indexing (kl0::CompileOptions::firstArgIndexing) IS supported: an
- * IndexRef directory entry is resolved through the same heap-resident
- * index structure the fidelity engine walks, selecting a pre-built
- * ClauseRef chain, so the clause trial order - and therefore every
- * answer byte - is unchanged.
  */
 
 #ifndef PSI_FAST_FAST_ENGINE_HPP
@@ -52,14 +42,15 @@
 #include <string>
 #include <vector>
 
+#include "interp/core.hpp"
 #include "interp/machine.hpp"
-#include "kl0/builtin_defs.hpp"
 #include "kl0/codegen.hpp"
 #include "kl0/compiled_program.hpp"
 #include "kl0/symbols.hpp"
 #include "mem/area.hpp"
 #include "mem/heap_store.hpp"
 #include "mem/tagged_word.hpp"
+#include "micro/work_file.hpp"
 
 namespace psi {
 namespace fast {
@@ -90,7 +81,10 @@ class FlatArea
      *  (ascending, nonzero). */
     explicit FlatArea(const std::vector<std::uint32_t> &high_bases);
 
-    TaggedWord
+    // Forced inline: the engine core reads and writes every word
+    // through these, and the inliner's unit-growth budget must not
+    // decide whether a memory access costs a call.
+    [[gnu::always_inline]] TaggedWord
     read(std::uint32_t off) const
     {
         if (off < _low.size)
@@ -98,7 +92,7 @@ class FlatArea
         return readSlow(off);
     }
 
-    void
+    [[gnu::always_inline]] void
     write(std::uint32_t off, const TaggedWord &w)
     {
         if (off < _low.size) {
@@ -188,8 +182,91 @@ class FlatHeap final : public HeapStore
     std::vector<std::uint32_t> _poked;
 };
 
+/**
+ * The Flat access policy: memory accesses index the FlatAreas
+ * directly, the work file is a plain array, and every accounting call
+ * is an empty inline function.  Trail entries are never buffered and
+ * frame buffers are always used, as under the default
+ * FirmwareOptions.
+ */
+class Flat
+{
+  public:
+    using Module = micro::Module;
+    using BranchOp = micro::BranchOp;
+    using WfMode = micro::WfMode;
+
+    Flat();
+
+    FlatArea &area(Area a) { return _area[static_cast<int>(a)]; }
+
+    // Every member the core calls is forced inline, so no inliner
+    // budget can make an accounting call or a word access cost a call.
+    [[gnu::always_inline]] void
+    step(Module, BranchOp, WfMode = WfMode::None, WfMode = WfMode::None,
+         WfMode = WfMode::None)
+    {}
+    [[gnu::always_inline]] void texture(Module, int) {}
+
+    [[gnu::always_inline]] TaggedWord
+    readMem(Module, const LogicalAddr &addr, BranchOp,
+            WfMode = WfMode::None, WfMode = WfMode::None) const
+    {
+        return peek(addr);
+    }
+    [[gnu::always_inline]] void
+    writeMem(Module, const LogicalAddr &addr, const TaggedWord &w,
+             BranchOp, WfMode = WfMode::None, WfMode = WfMode::None)
+    {
+        area(addr.area).write(addr.offset, w);
+    }
+    [[gnu::always_inline]] void
+    pushMem(Module, const LogicalAddr &addr, const TaggedWord &w,
+            BranchOp, WfMode = WfMode::None, WfMode = WfMode::None)
+    {
+        area(addr.area).write(addr.offset, w);
+    }
+    void
+    fillMem(Module, const LogicalAddr &addr, std::uint32_t n,
+            const TaggedWord &w, BranchOp, WfMode)
+    {
+        area(addr.area).fill(addr.offset, n, w);
+    }
+    [[gnu::always_inline]] TaggedWord
+    peek(const LogicalAddr &addr) const
+    {
+        return _area[static_cast<int>(addr.area)].read(addr.offset);
+    }
+
+    [[gnu::always_inline]] TaggedWord
+    wfRead(std::uint16_t addr) const
+    {
+        return _wf[addr];
+    }
+    [[gnu::always_inline]] void
+    wfWrite(std::uint16_t addr, const TaggedWord &w)
+    {
+        _wf[addr] = w;
+    }
+
+    static constexpr bool trailBuffer() { return false; }
+    static constexpr bool frameBuffers() { return true; }
+
+    /** Dispatches so far: the maxSteps proxy of fast mode. */
+    std::uint64_t ticks() const { return _dispatches; }
+    void tick() { ++_dispatches; }
+    void resetTicks() { _dispatches = 0; }
+
+  private:
+    FlatArea _area[kNumAreas];
+    /** Work-file words up to the trail buffer (A registers, frame
+     *  buffers), at their micro::kWf* addresses. */
+    TaggedWord _wf[micro::kWfTrailBuf + micro::kWfTrailBufWords] = {};
+    std::uint64_t _dispatches = 0;
+};
+
 /** The token-threaded flat-dispatch KL0 engine. */
-class FastEngine
+class FastEngine : public interp::Core<Flat>
 {
   public:
     FastEngine();
@@ -220,152 +297,17 @@ class FastEngine
                             const interp::RunLimits &limits =
                                 interp::RunLimits());
 
-    // ----- first-argument index instrumentation ------------------------
-    /** Calls dispatched through a first-argument index this run. */
-    std::uint64_t indexHits() const { return _idxHits; }
-    /** Indexed calls that fell back to the linear chain this run. */
-    std::uint64_t indexFallbacks() const { return _idxFallbacks; }
-    /** Clause candidates visited by the trial loop this run. */
-    std::uint64_t clauseTries() const { return _clauseTries; }
-
   private:
     using RunLimits = interp::RunLimits;
     using RunResult = interp::RunResult;
-    using Activation = interp::Activation;
-    using FrameLoc = interp::FrameLoc;
-    using Deref = interp::Deref;
 
-    // ----- fast_engine.cpp: control -----------------------------------
-    void resetRun();
     RunResult run(const kl0::QueryCode &qc, const RunLimits &limits);
     void mainLoop(const kl0::QueryCode &qc, RunResult &result,
                   const RunLimits &limits);
-    void loadArgs(std::uint32_t arity);
-    bool doCall(std::uint32_t functor_idx, std::uint32_t goal_cp,
-                bool last_call);
-    std::uint32_t resolveIndex(std::uint32_t root);
-    bool tryClauses(std::uint32_t table_addr, std::uint32_t goal_cp,
-                    std::uint32_t arity, std::uint32_t cont_cp,
-                    std::uint32_t cont_env, std::uint32_t cut_b);
-    bool enterClause(std::uint32_t clause_addr, std::uint32_t cont_cp,
-                     std::uint32_t cont_env, std::uint32_t cut_b);
-    bool backtrack();
-    void pushChoicePoint(std::uint32_t goal_cp, std::uint32_t cont_cp,
-                         std::uint32_t cont_env,
-                         std::uint32_t caller_frame_enc,
-                         std::uint32_t caller_global_base,
-                         std::uint32_t saved_gt, std::uint32_t saved_lt,
-                         std::uint32_t saved_tt, std::uint32_t saved_b,
-                         std::uint32_t next_clause_addr);
-    void pushEnvFrame();
-    void restoreEnv(std::uint32_t env_addr);
-    void flushFrame();
-    void doCut();
-    void reloadTrailBounds();
-    void extractSolution(const kl0::QueryCode &qc, RunResult &result);
-    kl0::TermPtr exportTerm(const TaggedWord &w, int depth = 0);
 
-    // ----- local frame access -----------------------------------------
-    TaggedWord readLocal(std::uint32_t slot);
-    void writeLocal(std::uint32_t slot, const TaggedWord &w);
-    TaggedWord fetchVarArg(const VarSlot &vs);
-    TaggedWord newGlobalCell();
-
-    // ----- fast_unify.cpp: unification and trail ----------------------
-    Deref deref(const TaggedWord &w);
-    void bind(const LogicalAddr &cell, const TaggedWord &value);
-    void trailPush(const LogicalAddr &cell);
-    void unwindTrail(std::uint64_t to_tt);
-    std::uint64_t trailTop() const { return _tt; }
-    bool unify(const TaggedWord &a, const TaggedWord &b);
-    bool unifyHead(const TaggedWord &desc, const TaggedWord &arg);
-    TaggedWord instantiate(std::uint32_t skel_addr, bool is_cons);
-    bool unifySkeleton(std::uint32_t skel_addr, bool is_cons,
-                       const TaggedWord &term);
-    bool unifySkelElement(const TaggedWord &skel_elem,
-                          const TaggedWord &cell_value);
-
-    // ----- fast_builtins.cpp ------------------------------------------
-    bool execBuiltin(kl0::Builtin b);
-    bool execIs();
-    bool evalArith(const TaggedWord &w, std::int64_t &out);
-    /**
-     * Resolved arithmetic operator of a functor.  evalArith runs
-     * once per expression node, so matching the operator by name
-     * there dominates arith-heavy profiles; this memoizes the
-     * string match per functor index (cleared on load, grown when a
-     * query compile interns new functors).
-     */
-    enum class ArithOp : std::uint8_t
-    {
-        Unresolved = 0,
-        NotArith,                          ///< not an arith functor
-        Neg, Ident, Abs, BitNot,           // arity 1
-        Add, Sub, Mul, IDiv, Mod, Rem,     // arity 2
-        Min, Max, Shl, Shr, BitAnd, BitOr, BitXor,
-    };
-    ArithOp arithOpFor(std::uint32_t functor_idx);
-    bool arithCompare(kl0::Builtin b);
-    bool termCompare(const TaggedWord &a, const TaggedWord &b,
-                     int &out);
-    void writeTerm(const TaggedWord &w, int depth = 0);
-    bool builtinFunctor();
-    bool builtinArg();
-    bool builtinUniv();
-    bool builtinVector(kl0::Builtin b);
-    bool builtinGlobal(kl0::Builtin b);
-    bool builtinProcessCall();
-    bool runNested(std::uint32_t functor_idx,
-                   std::uint64_t max_dispatches);
-
-    // ----- flat memory access -----------------------------------------
-    TaggedWord
-    read(const LogicalAddr &a) const
-    {
-        return _area[static_cast<int>(a.area)].read(a.offset);
-    }
-    void
-    write(const LogicalAddr &a, const TaggedWord &w)
-    {
-        _area[static_cast<int>(a.area)].write(a.offset, w);
-    }
-    TaggedWord heapRead(std::uint32_t off) const
-    {
-        return _area[static_cast<int>(Area::Heap)].read(off);
-    }
-
-    // ----- components --------------------------------------------------
-    FlatArea _area[kNumAreas];
-    FlatHeap _heap;  ///< _area[Heap] as the code generator's store
-    kl0::SymbolTable _syms;
+    FlatHeap _heap;  ///< the heap FlatArea as the code generator's store
     kl0::CodeGen _codegen;
     bool _loaded = false;
-
-    // ----- machine registers -------------------------------------------
-    std::uint32_t _gt = interp::kStackBase;  ///< global stack top
-    std::uint32_t _lt = interp::kStackBase;  ///< local stack top
-    std::uint32_t _ct = interp::kStackBase;  ///< control stack top
-    std::uint32_t _tt = interp::kStackBase;  ///< trail stack top
-    std::uint32_t _b = interp::kNoChoice;    ///< newest choice point
-    std::uint32_t _hb = 0;                   ///< global top at newest CP
-    std::uint32_t _hl = 0;                   ///< local top at newest CP
-    std::uint32_t _cp = 0;                   ///< code pointer
-    Activation _act;
-    int _curBuf = 0;
-    TaggedWord _a[kl0::kMaxArity];           ///< argument registers
-    TaggedWord _fbuf[2][kl0::kMaxLocals];    ///< WF frame buffers
-    std::uint32_t _vecTop = kl0::kVectorBase;
-    std::uint64_t _inferences = 0;
-    std::uint64_t _dispatches = 0;           ///< maxSteps proxy
-    std::uint64_t _idxHits = 0;              ///< indexed dispatches
-    std::uint64_t _idxFallbacks = 0;         ///< linear-chain fallbacks
-    std::uint64_t _clauseTries = 0;          ///< clause candidates tried
-    std::string _out;
-    std::size_t _maxOutputBytes = 1 << 20;
-    bool _failFlag = false;
-    bool _inProcessCall = false;
-    std::vector<bool> _warnedUndefined;
-    std::vector<ArithOp> _arithOps; ///< functor idx -> operator memo
 };
 
 } // namespace fast

@@ -1,6 +1,20 @@
+/**
+ * @file
+ * The fidelity engine: the step-accounted main loop over the shared
+ * core, plus consult, load and machine reset.  This translation unit
+ * instantiates Core<Modeled>, so the loop's calls into the core can
+ * be inlined.
+ */
+
 #include "interp/engine.hpp"
 
 #include "base/logging.hpp"
+#include "interp/core_arith.hpp"
+#include "interp/core_builtins.hpp"
+#include "interp/core_control.hpp"
+#include "interp/core_process.hpp"
+#include "interp/core_term.hpp"
+#include "interp/core_unify.hpp"
 #include "kl0/builtin_defs.hpp"
 #include "kl0/normalize.hpp"
 #include "kl0/reader.hpp"
@@ -8,49 +22,11 @@
 namespace psi {
 namespace interp {
 
-namespace {
-
-constexpr auto kScr = micro::WfMode::Direct00_0F;
-constexpr auto kReg = micro::WfMode::Direct10_3F;
-constexpr auto kNoWf = micro::WfMode::None;
-
-// Decode/bookkeeping step counts of the firmware routines (the
-// register-level texture around the explicit memory accesses).  The
-// densities are calibrated against the paper's own measurements:
-// ~137 steps per inference on nreverse, a cache command in 16-23% of
-// steps (Table 3), and the Table 2 module mix.
-constexpr int kFetchDecode = 1;   ///< per body instruction word
-constexpr int kCallDecode = 10;    ///< per user-predicate call
-constexpr int kTrialDecode = 1;   ///< per clause candidate tried
-constexpr int kEnterDecode = 1;   ///< per clause entry
-constexpr int kArgDecode = 2;     ///< per argument descriptor
-constexpr int kVarFetchDecode = 1;///< per variable argument fetch
-constexpr int kFramePush = 3;     ///< per control-frame push
-constexpr int kEnvRestore = 3;    ///< per environment restore
-constexpr int kReturnDecode = 4;  ///< per clause return
-constexpr int kBacktrackDecode = 6;///< per deep backtrack
-constexpr int kCutWork = 12;       ///< per cut
-
-/** Make the self-referencing word of an unbound cell. */
-TaggedWord
-unboundAt(const LogicalAddr &addr)
-{
-    return {Tag::Ref, addr.pack()};
-}
-
-TaggedWord
-intWord(std::uint32_t v)
-{
-    return {Tag::Int, v};
-}
-
-} // namespace
+template class Core<Modeled>;
 
 Engine::Engine(const CacheConfig &config, const FirmwareOptions &fw)
-    : _mem(config), _seq(_mem), _codegen(_mem, _syms), _fw(fw)
-{
-    _seq.setWriteStackEnabled(fw.writeStackCommand);
-}
+    : Core(config, fw), _codegen(_acc.mem(), _syms)
+{}
 
 void
 Engine::load(const kl0::Program &program)
@@ -76,16 +52,11 @@ Engine::consult(const std::string &text)
 void
 Engine::resetMachine()
 {
-    _mem.reset();
-    _seq.reset();
+    mem().reset();
+    seq().reset();
     _syms = kl0::SymbolTable();
     _codegen.restore(kl0::CodeGen::Snapshot{});
-    resetRun();
-    _vecTop = kl0::kVectorBase;
-    _maxOutputBytes = 1 << 20;
-    _inProcessCall = false;
-    _warnedUndefined.clear();
-    _procTops = {};
+    resetImageState();
 }
 
 void
@@ -98,14 +69,14 @@ Engine::load(const kl0::CompiledProgram &image)
     // Replay in emission order so pages are touched (and physical
     // frames allocated) exactly as the original compile touched them.
     for (const PokeRecord &p : image.image())
-        _mem.poke(p.addr, p.word);
+        mem().poke(p.addr, p.word);
 }
 
 void
 Engine::load(const kl0::CompiledProgram &image,
              const CacheConfig &cache)
 {
-    _mem.reconfigure(cache);
+    mem().reconfigure(cache);
     load(image);
 }
 
@@ -122,48 +93,19 @@ Engine::solve(const kl0::TermPtr &goal, const RunLimits &limits)
     return run(qc, limits);
 }
 
-void
-Engine::resetRun()
-{
-    _gt = _lt = _ct = _memTT = kStackBase;
-    _b = kNoChoice;
-    _hb = _hl = 0;
-    _cp = 0;
-    _act = Activation{};
-    _act.globalBase = _gt;
-    _curBuf = 0;
-    _trailBufCount = 0;
-    _inferences = 0;
-    _idxHits = 0;
-    _idxFallbacks = 0;
-    _clauseTries = 0;
-    _out.clear();
-    _failFlag = false;
-}
-
 RunResult
 Engine::run(const kl0::QueryCode &qc, const RunLimits &limits)
 {
-    resetRun();
     if (_resetStatsOnRun) {
-        _mem.resetStats();
-        _seq.resetStats();
+        mem().resetStats();
+        seq().resetStats();
     }
-    _maxOutputBytes = limits.maxOutputBytes;
-
     RunResult result;
-    bool started = doCall(qc.functorIdx, 0, true);
-    if (!started)
-        started = backtrack();
-    if (started)
+    if (startQuery(qc, limits))
         mainLoop(qc, result, limits);
-    result.stepLimitHit = result.status == RunStatus::StepLimit;
-
-    result.inferences = _inferences;
-    result.steps = _seq.stats().totalSteps();
-    result.timeNs = _seq.timeNs();
-    result.output = std::move(_out);
-    _out.clear();
+    finishRun(result);
+    result.steps = seq().stats().totalSteps();
+    result.timeNs = seq().timeNs();
     return result;
 }
 
@@ -174,7 +116,7 @@ Engine::mainLoop(const kl0::QueryCode &qc, RunResult &result,
     const Deadline deadline(limits.deadlineNs);
     std::uint32_t poll = 0;
     for (;;) {
-        if (_seq.stats().totalSteps() > limits.maxSteps) {
+        if (_acc.ticks() > limits.maxSteps) {
             result.status = RunStatus::StepLimit;
             return;
         }
@@ -193,11 +135,11 @@ Engine::mainLoop(const kl0::QueryCode &qc, RunResult &result,
             continue;
         }
 
-        TaggedWord w = _seq.readMem(Module::Control,
+        TaggedWord w = _acc.readMem(Module::Control,
                                     LogicalAddr(Area::Heap, _cp),
                                     BranchOp::T1CaseIrOpcode);
         ++_cp;
-        _seq.texture(Module::Control, kFetchDecode);
+        _acc.texture(Module::Control, kFetchDecode);
 
         switch (w.tag) {
           case Tag::Call:
@@ -220,7 +162,7 @@ Engine::mainLoop(const kl0::QueryCode &qc, RunResult &result,
             // Specialized entry: one dispatch step, none of the
             // generic builtin staging texture.
             loadArgs(2, Module::GetArg);
-            _seq.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf,
+            _acc.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf,
                       kNoWf);
             if (!execIs())
                 _failFlag = true;
@@ -228,7 +170,7 @@ Engine::mainLoop(const kl0::QueryCode &qc, RunResult &result,
           }
           case Tag::CallCmp: {
             loadArgs(2, Module::GetArg);
-            _seq.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf,
+            _acc.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf,
                       kNoWf);
             if (!arithCompare(static_cast<kl0::Builtin>(w.data)))
                 _failFlag = true;
@@ -239,7 +181,7 @@ Engine::mainLoop(const kl0::QueryCode &qc, RunResult &result,
             break;
           case Tag::Proceed: {
             // Return-from-clause decision step.
-            _seq.step(Module::Control, BranchOp::T1CondTrue, kScr,
+            _acc.step(Module::Control, BranchOp::T1CondTrue, kScr,
                       kScr);
             if (_act.contEnv == kRootEnv) {
                 extractSolution(qc, result);
@@ -254,11 +196,11 @@ Engine::mainLoop(const kl0::QueryCode &qc, RunResult &result,
             if (_act.frame.kind == FrameLoc::Kind::Stack &&
                 _act.frame.addr + _act.nlocals == _lt &&
                 _hl <= _act.frame.addr) {
-                _seq.step(Module::Control, BranchOp::T1CondFalse,
+                _acc.step(Module::Control, BranchOp::T1CondFalse,
                           kScr, kScr, kScr);
                 _lt = _act.frame.addr;
             }
-            _seq.texture(Module::Control, kReturnDecode);
+            _acc.texture(Module::Control, kReturnDecode);
             std::uint32_t rcp = _act.contCP;
             restoreEnv(_act.contEnv);
             _cp = rcp;
@@ -268,847 +210,6 @@ Engine::mainLoop(const kl0::QueryCode &qc, RunResult &result,
             panic("bad instruction word tag '", tagName(w.tag),
                   "' at heap:", _cp - 1);
         }
-    }
-}
-
-void
-Engine::loadArgs(std::uint32_t arity, Module m)
-{
-    if (arity == 0)
-        return;
-
-    TaggedWord w = _seq.readMem(m, LogicalAddr(Area::Heap, _cp),
-                                BranchOp::T1CaseTag);
-    if (w.tag == Tag::PackedArgs) {
-        ++_cp;
-        for (std::uint32_t i = 0; i < arity; ++i) {
-            std::uint32_t op = (w.data >> (8 * i)) & 0xff;
-            std::uint32_t type = op >> 5;
-            std::uint32_t idx = op & 0x1f;
-            // Packed-operand dispatch (the `case (irn)` branch).
-            _seq.step(m, BranchOp::T1CaseIrn, kScr, kNoWf, kReg);
-            _seq.texture(m, kArgDecode - 1);
-            TaggedWord a;
-            switch (type) {
-              case kl0::kPackLocalVar:
-                a = fetchVarArg(VarSlot{false,
-                                static_cast<std::uint16_t>(idx)}, m);
-                break;
-              case kl0::kPackGlobalVar:
-                a = fetchVarArg(VarSlot{true,
-                                static_cast<std::uint16_t>(idx)}, m);
-                break;
-              case kl0::kPackVoid:
-                a = newGlobalCell(m);
-                break;
-              case kl0::kPackSmallInt:
-                a = intWord(idx);
-                break;
-              default:
-                panic("bad packed operand type ", type);
-            }
-            _seq.wf().write(micro::kWfArgBase + i, a);
-        }
-        return;
-    }
-
-    for (std::uint32_t i = 0; i < arity; ++i) {
-        TaggedWord d = _seq.readMem(m, LogicalAddr(Area::Heap, _cp),
-                                    BranchOp::T1CaseTag, kNoWf,
-                                    kReg);
-        ++_cp;
-        _seq.texture(m, kArgDecode);
-        TaggedWord a;
-        switch (d.tag) {
-          case Tag::AConst:
-            a = {Tag::Atom, d.data};
-            break;
-          case Tag::AInt:
-            a = {Tag::Int, d.data};
-            break;
-          case Tag::ANil:
-            a = {Tag::Nil, 0};
-            break;
-          case Tag::AVoid:
-            a = newGlobalCell(m);
-            break;
-          case Tag::AVar:
-            a = fetchVarArg(VarSlot::decode(d.data), m);
-            break;
-          case Tag::AList:
-            a = instantiate(LogicalAddr::unpack(d.data).offset, true);
-            break;
-          case Tag::AStruct:
-            a = instantiate(LogicalAddr::unpack(d.data).offset, false);
-            break;
-          case Tag::AGroundList:
-            // Ground terms are shared from the heap image.
-            a = {Tag::List, d.data};
-            break;
-          case Tag::AGroundStruct:
-          case Tag::AExpr:
-            a = {Tag::Struct, d.data};
-            break;
-          default:
-            panic("bad argument descriptor '", tagName(d.tag), "'");
-        }
-        _seq.wf().write(micro::kWfArgBase + i, a);
-    }
-}
-
-TaggedWord
-Engine::readA(std::uint32_t i, Module m)
-{
-    _seq.step(m, BranchOp::T1Nop, kReg, kNoWf, kNoWf);
-    return _seq.wf().read(micro::kWfArgBase + i);
-}
-
-void
-Engine::writeA(std::uint32_t i, const TaggedWord &w, Module m)
-{
-    _seq.step(m, BranchOp::T1Nop, kNoWf, kNoWf, kReg);
-    _seq.wf().write(micro::kWfArgBase + i, w);
-}
-
-TaggedWord
-Engine::readLocal(std::uint32_t slot, Module m)
-{
-    switch (_act.frame.kind) {
-      case FrameLoc::Kind::Buf0:
-      case FrameLoc::Kind::Buf1: {
-        std::uint16_t base = _act.frame.kind == FrameLoc::Kind::Buf0
-                                 ? micro::kWfFrameBuf0
-                                 : micro::kWfFrameBuf1;
-        // Base-relative access through PDR/CDR.
-        _seq.step(m, BranchOp::T1Nop, micro::WfMode::BaseRelPdrCdr,
-                  kNoWf, kReg);
-        return _seq.wf().read(base + slot);
-      }
-      case FrameLoc::Kind::Stack:
-        return _seq.readMem(
-            m, LogicalAddr(Area::Local, _act.frame.addr + slot),
-            BranchOp::T1Nop, kScr, kReg);
-      default:
-        panic("local access with no frame");
-    }
-}
-
-void
-Engine::writeLocal(std::uint32_t slot, const TaggedWord &w, Module m)
-{
-    switch (_act.frame.kind) {
-      case FrameLoc::Kind::Buf0:
-      case FrameLoc::Kind::Buf1: {
-        std::uint16_t base = _act.frame.kind == FrameLoc::Kind::Buf0
-                                 ? micro::kWfFrameBuf0
-                                 : micro::kWfFrameBuf1;
-        _seq.step(m, BranchOp::T1Nop, kReg, kNoWf,
-                  micro::WfMode::BaseRelPdrCdr);
-        _seq.wf().write(base + slot, w);
-        return;
-      }
-      case FrameLoc::Kind::Stack:
-        _seq.writeMem(m,
-                      LogicalAddr(Area::Local, _act.frame.addr + slot),
-                      w, BranchOp::T1Nop, kReg);
-        return;
-      default:
-        panic("local write with no frame");
-    }
-}
-
-TaggedWord
-Engine::fetchVarArg(const VarSlot &vs, Module m)
-{
-    _seq.texture(m, kVarFetchDecode);
-    if (vs.global) {
-        // A reference to the global cell is formed in one step.
-        _seq.step(m, BranchOp::T1Nop, kScr, kNoWf, kReg);
-        return {Tag::Ref,
-                LogicalAddr(Area::Global,
-                            _act.globalBase + vs.index).pack()};
-    }
-    TaggedWord v = readLocal(vs.index, m);
-    if (v.tag == Tag::Undef) {
-        // First use of an uninitialized local as an argument: the
-        // variable is globalized so no reference into the work file
-        // (or into a dying frame) can ever be created.
-        TaggedWord ref = newGlobalCell(m);
-        if (_act.frame.kind == FrameLoc::Kind::Stack) {
-            // A flushed frame can be re-read by a choice-point retry,
-            // so the slot initialization must be undoable: bind()
-            // trails it conditionally, and trail unwinding restores
-            // local-stack cells to the uninitialized state.
-            bind(LogicalAddr(Area::Local, _act.frame.addr + vs.index),
-                 ref, m);
-        } else {
-            writeLocal(vs.index, ref, m);
-        }
-        return ref;
-    }
-    return v;
-}
-
-TaggedWord
-Engine::newGlobalCell(Module m)
-{
-    LogicalAddr cell(Area::Global, _gt);
-    _seq.pushMem(m, cell, unboundAt(cell), BranchOp::T2Nop);
-    ++_gt;
-    return {Tag::Ref, cell.pack()};
-}
-
-bool
-Engine::doCall(std::uint32_t functor_idx, std::uint32_t goal_cp,
-               bool last_call)
-{
-    ++_inferences;
-
-    // Call entry: save the goal context, set up the predicate
-    // descriptor fetch.
-    _seq.step(Module::Control, BranchOp::T1Gosub, kScr, kScr, kScr);
-    _seq.texture(Module::Control, kCallDecode);
-    TaggedWord dir = _seq.readMem(
-        Module::Control,
-        LogicalAddr(Area::Heap, kl0::kDirBase + functor_idx),
-        BranchOp::T1CondFalse, kScr);
-    if (dir.tag == Tag::IndexRef)
-        dir = {Tag::ClauseRef, resolveIndex(dir.data)};
-    if (dir.tag != Tag::ClauseRef) {
-        if (functor_idx >= _warnedUndefined.size())
-            _warnedUndefined.resize(functor_idx + 1, false);
-        if (!_warnedUndefined[functor_idx]) {
-            _warnedUndefined[functor_idx] = true;
-            warn("undefined predicate ",
-                 _syms.functorName(functor_idx), "/",
-                 _syms.functorArity(functor_idx));
-        }
-        return false;
-    }
-
-    std::uint32_t cont_cp;
-    std::uint32_t cont_env;
-    if (last_call) {
-        // Tail-recursion optimization: the callee inherits this
-        // activation's continuation; no environment is pushed.
-        _seq.step(Module::Control, BranchOp::T1CondTrue, kScr, kScr);
-        cont_cp = _act.contCP;
-        cont_env = _act.contEnv;
-    } else {
-        _seq.step(Module::Control, BranchOp::T1CondFalse, kScr, kScr);
-        if (_act.frame.inBuffer())
-            flushFrame();
-        // The current control information is saved to the control
-        // stack for every continuation-creating call.
-        pushEnvFrame();
-        cont_cp = _cp;
-        cont_env = _act.selfEnv;
-    }
-
-    return tryClauses(dir.data, goal_cp,
-                      _syms.functorArity(functor_idx), cont_cp,
-                      cont_env, _b);
-}
-
-std::uint32_t
-Engine::resolveIndex(std::uint32_t root)
-{
-    // Dereference A1 and switch on its tag (an index exists only for
-    // predicates of arity > 0, so A1 is always loaded here).
-    Deref d = deref(_seq.wf().read(micro::kWfArgBase),
-                    Module::Control);
-    TaggedWord a1 =
-        d.unbound ? TaggedWord{Tag::Ref, d.cell.pack()} : d.word;
-    _seq.step(Module::Control, BranchOp::T1CaseTag, kScr, kScr);
-
-    std::uint32_t slot;
-    std::uint32_t key = 0;
-    Tag key_tag = Tag::Undef;
-    switch (a1.tag) {
-      case Tag::Atom:
-        slot = kl0::kIdxSlotAtom;
-        key = a1.data;
-        key_tag = Tag::Atom;
-        break;
-      case Tag::Int:
-        slot = kl0::kIdxSlotInt;
-        key = a1.data;
-        key_tag = Tag::Int;
-        break;
-      case Tag::Nil:
-        slot = kl0::kIdxSlotNil;
-        break;
-      case Tag::List:
-        slot = kl0::kIdxSlotList;
-        break;
-      case Tag::Struct:
-        slot = kl0::kIdxSlotStruct;
-        key = _seq.readMem(Module::Control,
-                           LogicalAddr::unpack(a1.data),
-                           BranchOp::T1Nop, kScr)
-                  .data;
-        key_tag = Tag::Functor;
-        break;
-      default:
-        // Unbound - or a tag the index does not cover (vectors):
-        // walk the full linear chain.
-        ++_idxFallbacks;
-        return _seq.readMem(Module::Control,
-                            LogicalAddr(Area::Heap, root),
-                            BranchOp::T1Goto, kScr)
-            .data;
-    }
-    ++_idxHits;
-
-    TaggedWord w = _seq.readMem(Module::Control,
-                                LogicalAddr(Area::Heap, root + slot),
-                                BranchOp::T1CaseTag, kScr);
-    if (w.tag == Tag::ClauseRef)
-        return w.data;
-    PSI_ASSERT(w.tag == Tag::IndexHash, "bad index slot word");
-
-    std::uint32_t block = w.data;
-    std::uint32_t nslots =
-        _seq.readMem(Module::Control, LogicalAddr(Area::Heap, block),
-                     BranchOp::T1Nop, kScr)
-            .data;
-    std::uint32_t h = kl0::indexKeyHash(key) & (nslots - 1);
-    for (;;) {
-        TaggedWord kw = _seq.readMem(
-            Module::Control,
-            LogicalAddr(Area::Heap, block + 2 + 2 * h),
-            BranchOp::T1CaseTag, kScr);
-        if (kw.tag == Tag::Undef) {
-            // No clause mentions this key: only the variable-headed
-            // clauses can match.
-            return _seq.readMem(Module::Control,
-                                LogicalAddr(Area::Heap, block + 1),
-                                BranchOp::T1Goto, kScr)
-                .data;
-        }
-        if (kw.tag == key_tag && kw.data == key) {
-            return _seq.readMem(
-                       Module::Control,
-                       LogicalAddr(Area::Heap, block + 3 + 2 * h),
-                       BranchOp::T1Goto, kScr)
-                .data;
-        }
-        // Linear probe (load factor <= 1/2 guarantees an empty slot).
-        h = (h + 1) & (nslots - 1);
-    }
-}
-
-bool
-Engine::firstArgMayMatch(std::uint32_t clause_addr,
-                         const TaggedWord &a1)
-{
-    // One probe of the first head descriptor plus a tag comparison -
-    // the dispatch the PSI-II instruction-code redesign aims at.
-    TaggedWord desc = _seq.readMem(
-        Module::Control, LogicalAddr(Area::Heap, clause_addr + 1),
-        BranchOp::T1CaseTag);
-    _seq.step(Module::Control, BranchOp::T1TagCmp, kScr, kScr);
-    if (a1.tag == Tag::Ref)
-        return true;
-    switch (desc.tag) {
-      case Tag::HConst:
-        return a1.tag == Tag::Atom && a1.data == desc.data;
-      case Tag::HInt:
-        return a1.tag == Tag::Int && a1.data == desc.data;
-      case Tag::HNil:
-        return a1.tag == Tag::Nil;
-      case Tag::HList:
-      case Tag::HGroundList:
-        return a1.tag == Tag::List;
-      case Tag::HStruct:
-      case Tag::HGroundStruct:
-        return a1.tag == Tag::Struct;
-      default:
-        return true;  // variable or void: matches anything
-    }
-}
-
-bool
-Engine::tryClauses(std::uint32_t table_addr, std::uint32_t goal_cp,
-                   std::uint32_t arity, std::uint32_t cont_cp,
-                   std::uint32_t cont_env, std::uint32_t cut_b)
-{
-    // Dereference the first argument once when indexing is enabled.
-    TaggedWord a1{};
-    if (_fw.firstArgIndexing && arity > 0) {
-        Deref d = deref(_seq.wf().read(micro::kWfArgBase),
-                        Module::Control);
-        a1 = d.unbound ? TaggedWord{Tag::Ref, d.cell.pack()} : d.word;
-    }
-    // Caller context captured for the choice point (deep retries
-    // reload arguments against this frame).
-    FrameLoc caller_frame = _act.frame;
-    std::uint32_t caller_gb = _act.globalBase;
-    std::uint32_t caller_nlocals = _act.nlocals;
-
-    // Trial snapshot, held in work-file registers: stack tops at
-    // call time, so a failed head unification can be undone without
-    // touching the control stack (shallow backtracking).
-    std::uint32_t old_hb = _hb;
-    std::uint32_t old_hl = _hl;
-    std::uint32_t trial_gt = _gt;
-    std::uint64_t trial_tt = trailTop();
-    _seq.step(Module::Control, BranchOp::T1Nop, kScr, kScr, kScr);
-
-    std::uint32_t pos = table_addr;
-    TaggedWord cur = _seq.readMem(Module::Control,
-                                  LogicalAddr(Area::Heap, pos),
-                                  BranchOp::T1CondTrue, kScr);
-    if (cur.tag != Tag::ClauseRef)
-        return false;
-
-    for (;;) {
-        ++_clauseTries;
-        TaggedWord next = _seq.readMem(Module::Control,
-                                       LogicalAddr(Area::Heap, pos + 1),
-                                       BranchOp::T1CondTrue, kScr);
-        _seq.texture(Module::Control, kTrialDecode);
-        bool has_next = next.tag == Tag::ClauseRef;
-
-        if (_fw.firstArgIndexing && arity > 0 &&
-            !firstArgMayMatch(cur.data, a1)) {
-            if (!has_next) {
-                _hb = old_hb;
-                _hl = old_hl;
-                return false;
-            }
-            pos += 1;
-            cur = next;
-            continue;
-        }
-
-        // Bind conditionally against the trial snapshot so a failing
-        // head unification is fully undoable.
-        _hb = trial_gt;
-        _hl = _lt;
-
-        if (enterClause(cur.data, cont_cp, cont_env, cut_b)) {
-            if (has_next) {
-                // Commit with alternatives: only now does control
-                // information go to the control stack.
-                std::uint32_t cfe;
-                if (caller_frame.inBuffer()) {
-                    // Lazy flush: a deep retry must be able to
-                    // re-read the caller's locals from memory.
-                    std::uint16_t base =
-                        caller_frame.kind == FrameLoc::Kind::Buf0
-                            ? micro::kWfFrameBuf0
-                            : micro::kWfFrameBuf1;
-                    std::uint32_t addr = _lt;
-                    _seq.step(Module::Control, BranchOp::T1LoadJr,
-                              kScr, kNoWf, kNoWf);
-                    for (std::uint32_t i = 0; i < caller_nlocals;
-                         ++i) {
-                        _seq.pushMem(Module::Control,
-                                     LogicalAddr(Area::Local, _lt + i),
-                                     _seq.wf().read(base + i),
-                                     BranchOp::T3Nop,
-                                     micro::WfMode::IndWfar1);
-                    }
-                    _lt += caller_nlocals;
-                    cfe = FrameLoc{FrameLoc::Kind::Stack,
-                                   addr}.encode();
-                } else {
-                    cfe = caller_frame.encode();
-                }
-                trailFlush();
-                pushChoicePoint(goal_cp, cont_cp, cont_env, cfe,
-                                caller_gb, trial_gt, _lt,
-                                static_cast<std::uint32_t>(trial_tt),
-                                cut_b, pos + 1);
-                _hb = trial_gt;
-                _hl = _lt;
-            } else {
-                _hb = old_hb;
-                _hl = old_hl;
-            }
-            return true;
-        }
-
-        // Shallow retry from the work-file snapshot.
-        _seq.step(Module::Control, BranchOp::T1CondFalse, kScr, kNoWf,
-                  kScr);
-        unwindTrail(trial_tt);
-        _gt = trial_gt;
-        // Reclaim any local frame the failed candidate allocated
-        // (no-op with frame buffers: _hl is the trial-start local
-        // top).
-        _lt = _hl;
-        if (!has_next) {
-            _hb = old_hb;
-            _hl = old_hl;
-            return false;
-        }
-        pos += 1;
-        cur = next;
-    }
-}
-
-void
-Engine::flushFrame()
-{
-    PSI_ASSERT(_act.frame.inBuffer(), "flush of a non-buffer frame");
-    std::uint16_t base = _act.frame.kind == FrameLoc::Kind::Buf0
-                             ? micro::kWfFrameBuf0
-                             : micro::kWfFrameBuf1;
-    std::uint32_t addr = _lt;
-    // WFAR1 := buffer base (address-register setup step).
-    _seq.step(Module::Control, BranchOp::T1LoadJr, kScr, kNoWf, kNoWf);
-    for (std::uint32_t i = 0; i < _act.nlocals; ++i) {
-        _seq.pushMem(Module::Control, LogicalAddr(Area::Local, _lt + i),
-                     _seq.wf().read(base + i), BranchOp::T3Nop,
-                     micro::WfMode::IndWfar1);
-    }
-    _lt += _act.nlocals;
-    _act.frame = FrameLoc{FrameLoc::Kind::Stack, addr};
-}
-
-void
-Engine::pushEnvFrame()
-{
-    _seq.texture(Module::Control, kFramePush);
-    std::uint32_t env = _ct;
-    const std::uint32_t words[kFrameWords] = {
-        _act.contCP,
-        _act.contEnv,
-        _act.frame.encode(),
-        _act.globalBase,
-        _act.cutB,
-        _act.nlocals,
-        _act.clauseAddr,
-        0, 0, 0,
-    };
-    for (std::uint32_t i = 0; i < kFrameWords; ++i) {
-        _seq.pushMem(Module::Control,
-                     LogicalAddr(Area::Control, _ct + i),
-                     intWord(words[i]), BranchOp::T3Nop, kReg);
-    }
-    _ct += kFrameWords;
-    _act.selfEnv = env;
-}
-
-void
-Engine::restoreEnv(std::uint32_t env_addr)
-{
-    PSI_ASSERT(env_addr != kRootEnv && env_addr != 0,
-               "bad environment address");
-    _seq.texture(Module::Control, kEnvRestore);
-    std::uint32_t w[7];
-    for (int i = 0; i < 7; ++i) {
-        w[i] = _seq.readMem(Module::Control,
-                            LogicalAddr(Area::Control, env_addr + i),
-                            i == 0 ? BranchOp::T2Goto : BranchOp::T2Nop,
-                            kNoWf, kScr)
-                   .data;
-    }
-    _act.contCP = w[kEnvContCP];
-    _act.contEnv = w[kEnvContEnv];
-    _act.frame = FrameLoc::decode(w[kEnvFrameLoc]);
-    _act.globalBase = w[kEnvGlobalBase];
-    _act.cutB = w[kEnvCutB];
-    _act.nlocals = w[kEnvNLocals];
-    _act.clauseAddr = w[kEnvClauseAddr];
-
-    if (env_addr + kFrameWords == _ct &&
-        (_b == kNoChoice || _b < env_addr)) {
-        // Determinate return to the top frame: reclaim it.
-        _ct = env_addr;
-        _act.selfEnv = 0;
-    } else {
-        _act.selfEnv = env_addr;
-    }
-}
-
-void
-Engine::pushChoicePoint(std::uint32_t goal_cp, std::uint32_t cont_cp,
-                        std::uint32_t cont_env,
-                        std::uint32_t caller_frame_enc,
-                        std::uint32_t caller_global_base,
-                        std::uint32_t saved_gt, std::uint32_t saved_lt,
-                        std::uint32_t saved_tt, std::uint32_t saved_b,
-                        std::uint32_t next_clause_addr)
-{
-    _seq.texture(Module::Control, kFramePush);
-    std::uint32_t cp_addr = _ct;
-    const std::uint32_t words[kFrameWords] = {
-        goal_cp,
-        caller_frame_enc,
-        caller_global_base,
-        cont_cp,
-        cont_env,
-        saved_gt,
-        saved_lt,
-        saved_tt,
-        saved_b,
-        next_clause_addr,
-    };
-    for (std::uint32_t i = 0; i < kFrameWords; ++i) {
-        _seq.pushMem(Module::Control,
-                     LogicalAddr(Area::Control, _ct + i),
-                     intWord(words[i]), BranchOp::T3Nop, kReg);
-    }
-    _ct += kFrameWords;
-    _b = cp_addr;
-}
-
-bool
-Engine::enterClause(std::uint32_t clause_addr, std::uint32_t cont_cp,
-                    std::uint32_t cont_env, std::uint32_t cut_b)
-{
-    TaggedWord hdr = _seq.readMem(Module::Control,
-                                  LogicalAddr(Area::Heap, clause_addr),
-                                  BranchOp::T1CaseTag, kNoWf,
-                                  kScr);
-    PSI_ASSERT(hdr.tag == Tag::ClauseHeader, "bad clause address");
-    _seq.texture(Module::Control, kEnterDecode);
-    std::uint32_t arity = hdr.data & 0xff;
-    std::uint32_t nlocals = (hdr.data >> 8) & 0xff;
-    std::uint32_t nglobals = (hdr.data >> 16) & 0xff;
-
-    std::uint32_t global_base = _gt;
-    for (std::uint32_t g = 0; g < nglobals; ++g) {
-        LogicalAddr cell(Area::Global, _gt + g);
-        _seq.pushMem(Module::Control, cell, unboundAt(cell),
-                     BranchOp::T2Nop);
-    }
-    _gt += nglobals;
-
-    FrameLoc frame;
-    if (nlocals > 0 && _fw.frameBuffers) {
-        int nb = 1 - _curBuf;
-        frame.kind = nb == 0 ? FrameLoc::Kind::Buf0
-                             : FrameLoc::Kind::Buf1;
-        std::uint16_t base = nb == 0 ? micro::kWfFrameBuf0
-                                     : micro::kWfFrameBuf1;
-        // Initialize the frame through WFAR1 auto-increment.
-        for (std::uint32_t i = 0; i < nlocals; ++i) {
-            _seq.step(Module::Control, BranchOp::T3Nop, kNoWf, kNoWf,
-                      micro::WfMode::IndWfar1);
-            _seq.wf().write(base + i, TaggedWord{});
-        }
-        _curBuf = nb;
-    } else if (nlocals > 0) {
-        // Ablation: no frame buffers - the local frame is allocated
-        // directly on the local stack.
-        frame.kind = FrameLoc::Kind::Stack;
-        frame.addr = _lt;
-        for (std::uint32_t i = 0; i < nlocals; ++i) {
-            _seq.pushMem(Module::Control,
-                         LogicalAddr(Area::Local, _lt + i),
-                         TaggedWord{}, BranchOp::T3Nop);
-        }
-        _lt += nlocals;
-    }
-
-    _act.contCP = cont_cp;
-    _act.contEnv = cont_env;
-    _act.frame = frame;
-    _act.globalBase = global_base;
-    _act.cutB = cut_b;
-    _act.nlocals = nlocals;
-    _act.clauseAddr = clause_addr;
-    _act.selfEnv = 0;
-
-    std::uint32_t dp = clause_addr + 1;
-    for (std::uint32_t i = 0; i < arity; ++i) {
-        TaggedWord desc = _seq.readMem(Module::Unify,
-                                       LogicalAddr(Area::Heap, dp + i),
-                                       BranchOp::T1CaseTag, kNoWf,
-                                       kScr);
-        TaggedWord arg = _seq.wf().read(micro::kWfArgBase + i);
-        if (!unifyHead(desc, arg))
-            return false;
-    }
-    // Activation setup completes only after the head has matched.
-    _seq.texture(Module::Control, 5);
-    _cp = dp + arity;
-    return true;
-}
-
-bool
-Engine::backtrack()
-{
-    for (;;) {
-        if (_b == kNoChoice)
-            return false;
-
-        // Deep backtracking: restore the machine from the newest
-        // choice-point frame.
-        _seq.step(Module::Control, BranchOp::T2Goto, kScr, kNoWf,
-                  kScr);
-        _seq.texture(Module::Control, kBacktrackDecode);
-        std::uint32_t w[kFrameWords];
-        for (std::uint32_t i = 0; i < kFrameWords; ++i) {
-            w[i] = _seq.readMem(Module::Control,
-                                LogicalAddr(Area::Control, _b + i),
-                                BranchOp::T2Nop, kNoWf, kScr)
-                       .data;
-        }
-
-        unwindTrail(w[kCpSavedTT]);
-        _gt = w[kCpSavedGT];
-        _lt = w[kCpSavedLT];
-        // The frame is consumed: remaining candidates run a fresh
-        // trial loop, which pushes a new choice point only if one is
-        // still needed.
-        _ct = _b;
-        _b = w[kCpSavedB];
-        reloadTrailBounds(Module::Control);
-
-        // Rebuild the caller context and reload the goal arguments
-        // from the instruction code (DEC-10-interpreter style retry).
-        _act.frame = FrameLoc::decode(w[kCpCallerFrame]);
-        _act.globalBase = w[kCpCallerGlobal];
-
-        std::uint32_t goal_cp = w[kCpGoalCP];
-        std::uint32_t arity = 0;
-        if (goal_cp != 0) {
-            TaggedWord call = _seq.readMem(
-                Module::Control, LogicalAddr(Area::Heap, goal_cp),
-                BranchOp::T1CaseIrOpcode, kNoWf, kScr);
-            PSI_ASSERT(call.tag == Tag::Call ||
-                           call.tag == Tag::CallLast,
-                       "retry at a non-call word");
-            _cp = goal_cp + 1;
-            arity = _syms.functorArity(call.data);
-            loadArgs(arity, Module::Control);
-        }
-
-        if (tryClauses(w[kCpNextClause], goal_cp, arity,
-                       w[kCpContCP], w[kCpContEnv], w[kCpSavedB])) {
-            return true;
-        }
-        // Every remaining candidate failed; fail into the next
-        // older choice point.
-    }
-}
-
-void
-Engine::reloadTrailBounds(Module m)
-{
-    if (_b == kNoChoice) {
-        _hb = 0;
-        _hl = 0;
-        return;
-    }
-    _hb = _seq.readMem(m, LogicalAddr(Area::Control, _b + kCpSavedGT),
-                       BranchOp::T2Nop, kNoWf, kScr)
-              .data;
-    _hl = _seq.readMem(m, LogicalAddr(Area::Control, _b + kCpSavedLT),
-                       BranchOp::T2Nop, kNoWf, kScr)
-              .data;
-}
-
-void
-Engine::doCut()
-{
-    _seq.step(Module::Cut, BranchOp::T1CondTrue, kScr, kScr);
-    _seq.texture(Module::Cut, kCutWork);
-    if (_b != _act.cutB) {
-        _b = _act.cutB;
-        _seq.step(Module::Cut, BranchOp::T1CondFalse, kScr, kNoWf,
-                  kScr);
-        reloadTrailBounds(Module::Cut);
-    }
-}
-
-void
-Engine::extractSolution(const kl0::QueryCode &qc, RunResult &result)
-{
-    Solution sol;
-    for (const auto &kv : qc.vars) {
-        const kl0::SlotRef &sr = kv.second;
-        TaggedWord w;
-        if (sr.global) {
-            w = _mem.peek(LogicalAddr(Area::Global,
-                                      _act.globalBase + sr.index));
-        } else {
-            switch (_act.frame.kind) {
-              case FrameLoc::Kind::Stack:
-                w = _mem.peek(LogicalAddr(Area::Local,
-                                          _act.frame.addr + sr.index));
-                break;
-              case FrameLoc::Kind::Buf0:
-              case FrameLoc::Kind::Buf1: {
-                std::uint16_t base =
-                    _act.frame.kind == FrameLoc::Kind::Buf0
-                        ? micro::kWfFrameBuf0
-                        : micro::kWfFrameBuf1;
-                w = _seq.wf().read(base + sr.index);
-                break;
-              }
-              default:
-                w = TaggedWord{};
-            }
-        }
-        if (w.tag == Tag::Undef) {
-            sol.bindings[kv.first] = kl0::Term::var("_" + kv.first);
-        } else {
-            sol.bindings[kv.first] = exportTerm(w);
-        }
-    }
-    result.solutions.push_back(std::move(sol));
-}
-
-kl0::TermPtr
-Engine::exportTerm(const TaggedWord &w, int depth)
-{
-    if (depth > 100000)
-        return kl0::Term::atom("...");
-
-    TaggedWord cur = w;
-    // Host-level dereference (no accounting: extraction is outside
-    // the measured firmware).
-    while (cur.tag == Tag::Ref) {
-        LogicalAddr a = LogicalAddr::unpack(cur.data);
-        TaggedWord inner = _mem.peek(a);
-        if (inner.tag == Tag::Ref && inner.data == cur.data) {
-            return kl0::Term::var("_G" + std::to_string(cur.data));
-        }
-        cur = inner;
-    }
-
-    switch (cur.tag) {
-      case Tag::Undef:
-        return kl0::Term::var("_U");
-      case Tag::Atom:
-        return kl0::Term::atom(_syms.atomName(cur.data));
-      case Tag::Int:
-        return kl0::Term::integer(cur.asInt());
-      case Tag::Nil:
-        return kl0::Term::nil();
-      case Tag::List: {
-        LogicalAddr a = LogicalAddr::unpack(cur.data);
-        return kl0::Term::compound(
-            ".", {exportTerm(_mem.peek(a), depth + 1),
-                  exportTerm(_mem.peek(a.plus(1)), depth + 1)});
-      }
-      case Tag::Struct: {
-        LogicalAddr a = LogicalAddr::unpack(cur.data);
-        TaggedWord f = _mem.peek(a);
-        PSI_ASSERT(f.tag == Tag::Functor, "bad structure word");
-        std::uint32_t n = _syms.functorArity(f.data);
-        std::vector<kl0::TermPtr> args;
-        args.reserve(n);
-        for (std::uint32_t i = 1; i <= n; ++i)
-            args.push_back(exportTerm(_mem.peek(a.plus(i)), depth + 1));
-        return kl0::Term::compound(_syms.functorName(f.data),
-                                   std::move(args));
-      }
-      case Tag::Vector: {
-        LogicalAddr a = LogicalAddr::unpack(cur.data);
-        TaggedWord size = _mem.peek(a);
-        return kl0::Term::compound(
-            "$vector", {kl0::Term::integer(size.asInt())});
-      }
-      default:
-        return kl0::Term::atom(std::string("$bad_") +
-                               tagName(cur.tag));
     }
 }
 

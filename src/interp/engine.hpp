@@ -1,6 +1,7 @@
 /**
  * @file
- * The PSI firmware interpreter.
+ * The PSI firmware interpreter: the engine core (core.hpp) on the
+ * Modeled access policy.
  *
  * One Engine owns the full machine: memory system (translation +
  * cache + main memory), microprogram sequencer (work file, timing,
@@ -10,21 +11,22 @@
  *
  * Every firmware action is issued through the sequencer, so the
  * statistics behind the paper's Tables 2-7 are measured from the work
- * the model actually performs.  The method split across translation
- * units mirrors the firmware modules: engine.cpp (control), unify.cpp
- * (unification, trail), builtins*.cpp (built-ins, get_arg).
+ * the model actually performs.  The firmware itself lives in the
+ * shared core, split by firmware module: core_control.hpp (control),
+ * core_unify.hpp (unification, trail), core_builtins.hpp,
+ * core_arith.hpp, core_term.hpp and core_process.hpp (built-ins,
+ * get_arg).  The fast engine (src/fast/) runs the same core on flat
+ * storage with the accounting compiled out.
  */
 
 #ifndef PSI_INTERP_ENGINE_HPP
 #define PSI_INTERP_ENGINE_HPP
 
-#include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "interp/core.hpp"
 #include "interp/machine.hpp"
-#include "kl0/builtin_defs.hpp"
 #include "kl0/codegen.hpp"
 #include "kl0/compiled_program.hpp"
 #include "kl0/program.hpp"
@@ -42,13 +44,6 @@ namespace interp {
  */
 struct FirmwareOptions
 {
-    /**
-     * Clause selection by first-argument tag before head
-     * unification - the "improving the instruction code suitable for
-     * the compile time optimization" direction of the redesign
-     * (PSI-II); off on the measured PSI.
-     */
-    bool firstArgIndexing = false;
     /** Buffer trail entries in the WF via WFAR2 (paper §4.3). */
     bool trailBuffer = true;
     /** Use the dedicated Write-Stack cache command for pushes. */
@@ -57,8 +52,93 @@ struct FirmwareOptions
     bool frameBuffers = true;
 };
 
+/**
+ * The Modeled access policy: every core action becomes a
+ * microinstruction step through the Sequencer, memory accesses go
+ * through the cache-modeled MemorySystem, and the A registers, frame
+ * buffers and trail buffer live in the sequencer's work file.
+ */
+class Modeled
+{
+  public:
+    using Module = micro::Module;
+    using BranchOp = micro::BranchOp;
+    using WfMode = micro::WfMode;
+
+    Modeled(const CacheConfig &config, const FirmwareOptions &fw)
+        : _mem(config), _seq(_mem), _fw(fw)
+    {
+        _seq.setWriteStackEnabled(fw.writeStackCommand);
+    }
+    // The sequencer points at the memory system.
+    Modeled(const Modeled &) = delete;
+    Modeled &operator=(const Modeled &) = delete;
+
+    MemorySystem &mem() { return _mem; }
+    micro::Sequencer &seq() { return _seq; }
+
+    void
+    step(Module m, BranchOp b, WfMode s1 = WfMode::None,
+         WfMode s2 = WfMode::None, WfMode d = WfMode::None)
+    {
+        _seq.step(m, b, s1, s2, d);
+    }
+    void texture(Module m, int n) { _seq.texture(m, n); }
+
+    TaggedWord
+    readMem(Module m, const LogicalAddr &addr, BranchOp b,
+            WfMode s1 = WfMode::None, WfMode d = WfMode::None)
+    {
+        return _seq.readMem(m, addr, b, s1, d);
+    }
+    void
+    writeMem(Module m, const LogicalAddr &addr, const TaggedWord &w,
+             BranchOp b, WfMode s1 = WfMode::None,
+             WfMode s2 = WfMode::None)
+    {
+        _seq.writeMem(m, addr, w, b, s1, s2);
+    }
+    void
+    pushMem(Module m, const LogicalAddr &addr, const TaggedWord &w,
+            BranchOp b, WfMode s1 = WfMode::None,
+            WfMode s2 = WfMode::None)
+    {
+        _seq.pushMem(m, addr, w, b, s1, s2);
+    }
+    /** @p n writes of @p w from @p addr, one step each. */
+    void
+    fillMem(Module m, const LogicalAddr &addr, std::uint32_t n,
+            const TaggedWord &w, BranchOp b, WfMode s1)
+    {
+        for (std::uint32_t i = 0; i < n; ++i)
+            _seq.writeMem(m, addr.plus(i), w, b, s1);
+    }
+    TaggedWord peek(const LogicalAddr &addr) { return _mem.peek(addr); }
+
+    TaggedWord wfRead(std::uint16_t addr) const
+    {
+        return _seq.wf().read(addr);
+    }
+    void wfWrite(std::uint16_t addr, const TaggedWord &w)
+    {
+        _seq.wf().write(addr, w);
+    }
+
+    bool trailBuffer() const { return _fw.trailBuffer; }
+    bool frameBuffers() const { return _fw.frameBuffers; }
+
+    /** Microinstruction steps so far (the sequencer counts them). */
+    std::uint64_t ticks() const { return _seq.stats().totalSteps(); }
+    void tick() {}
+
+  private:
+    MemorySystem _mem;
+    micro::Sequencer _seq;
+    FirmwareOptions _fw;
+};
+
 /** The microprogrammed KL0 interpreter. */
-class Engine
+class Engine : public Core<Modeled>
 {
   public:
     explicit Engine(const CacheConfig &config = CacheConfig::psi(),
@@ -124,8 +204,8 @@ class Engine
 
     /** @name Component access (benches, tools, tests) */
     /// @{
-    MemorySystem &mem() { return _mem; }
-    micro::Sequencer &seq() { return _seq; }
+    MemorySystem &mem() { return _acc.mem(); }
+    micro::Sequencer &seq() { return _acc.seq(); }
     kl0::SymbolTable &symbols() { return _syms; }
     const kl0::CodeGen &codegen() const { return _codegen; }
     /// @}
@@ -136,179 +216,14 @@ class Engine
      */
     void setResetStatsOnRun(bool v) { _resetStatsOnRun = v; }
 
-    /** @name Per-run first-argument-index counters
-     * Calls dispatched through an index (bound first argument) vs
-     * falling back to the linear chain (unbound or uncovered tag),
-     * and clause candidates visited by the trial loop.  Reset at
-     * every solve; harvested into pool metrics by the psid worker.
-     */
-    /// @{
-    std::uint64_t indexHits() const { return _idxHits; }
-    std::uint64_t indexFallbacks() const { return _idxFallbacks; }
-    std::uint64_t clauseTries() const { return _clauseTries; }
-    /// @}
-
   private:
-    using Module = micro::Module;
-    using BranchOp = micro::BranchOp;
-    using WfMode = micro::WfMode;
-
-    // ----- engine.cpp: control ---------------------------------------
-    void resetRun();
     RunResult run(const kl0::QueryCode &qc, const RunLimits &limits);
     /** Sets result.status when a limit ends the run early. */
     void mainLoop(const kl0::QueryCode &qc, RunResult &result,
                   const RunLimits &limits);
-    /** Load call arguments at _cp into A registers; advances _cp. */
-    void loadArgs(std::uint32_t arity, Module m);
-    /** Perform a user-predicate call. @return false to backtrack. */
-    bool doCall(std::uint32_t functor_idx, std::uint32_t goal_cp,
-                bool last_call);
-    /**
-     * Shallow-backtracking clause trial loop: try candidates from
-     * @p table_addr against the A registers, undoing failed head
-     * unifications from work-file state; push a choice point only
-     * when a clause commits with alternatives remaining.
-     *
-     * The caller context for deep retries (frame location, global
-     * base) is taken from _act at entry.
-     */
-    bool tryClauses(std::uint32_t table_addr, std::uint32_t goal_cp,
-                    std::uint32_t arity, std::uint32_t cont_cp,
-                    std::uint32_t cont_env, std::uint32_t cut_b);
-    /**
-     * Resolve a first-argument index rooted at @p root to the clause
-     * table tryClauses should walk: dereference A1, switch on its
-     * tag, probe the hash block when the class is keyed.  Unbound or
-     * uncovered first arguments take the linear-table fallback.
-     */
-    std::uint32_t resolveIndex(std::uint32_t root);
-    /** Enter one clause: globals, locals, head unification. */
-    bool enterClause(std::uint32_t clause_addr, std::uint32_t cont_cp,
-                     std::uint32_t cont_env, std::uint32_t cut_b);
-    /** Restore state from the newest choice point; false if none. */
-    bool backtrack();
-    void pushChoicePoint(std::uint32_t goal_cp, std::uint32_t cont_cp,
-                         std::uint32_t cont_env,
-                         std::uint32_t caller_frame_enc,
-                         std::uint32_t caller_global_base,
-                         std::uint32_t saved_gt, std::uint32_t saved_lt,
-                         std::uint32_t saved_tt, std::uint32_t saved_b,
-                         std::uint32_t next_clause_addr);
-    void pushEnvFrame();
-    void restoreEnv(std::uint32_t env_addr);
-    /** Copy the buffer frame to the local stack if needed. */
-    void flushFrame();
-    void doCut();
-    /** Re-read HB/HL from the (new) newest choice point. */
-    void reloadTrailBounds(Module m);
-    void extractSolution(const kl0::QueryCode &qc, RunResult &result);
-    kl0::TermPtr exportTerm(const TaggedWord &w, int depth = 0);
 
-    // ----- local frame access -----------------------------------------
-    TaggedWord readLocal(std::uint32_t slot, Module m);
-    void writeLocal(std::uint32_t slot, const TaggedWord &w, Module m);
-    /** Fetch a variable's value for an argument position. */
-    TaggedWord fetchVarArg(const VarSlot &vs, Module m);
-    /** Allocate a fresh unbound global cell; @return a Ref to it. */
-    TaggedWord newGlobalCell(Module m);
-
-    // ----- unify.cpp: unification and trail ---------------------------
-    Deref deref(const TaggedWord &w, Module m);
-    void bind(const LogicalAddr &cell, const TaggedWord &value,
-              Module m);
-    void trailPush(const LogicalAddr &cell);
-    void trailFlush();
-    void unwindTrail(std::uint64_t to_tt);
-    std::uint64_t trailTop() const
-    {
-        return _memTT + _trailBufCount;
-    }
-    bool unify(const TaggedWord &a, const TaggedWord &b);
-    bool unifyHead(const TaggedWord &desc, const TaggedWord &arg);
-    /** Instantiate a heap skeleton onto the global stack. */
-    TaggedWord instantiate(std::uint32_t skel_addr, bool is_cons);
-    /** Read-mode unification of a skeleton against a bound term. */
-    bool unifySkeleton(std::uint32_t skel_addr, bool is_cons,
-                       const TaggedWord &term);
-    /** One element of a skeleton against one runtime cell. */
-    bool unifySkelElement(const TaggedWord &skel_elem,
-                          const TaggedWord &cell_value);
-
-    // ----- builtins.cpp / builtins_arith.cpp / builtins_term.cpp ------
-    bool execBuiltin(kl0::Builtin b);
-    /** is/2 body, shared by the generic dispatch and CallIs. */
-    bool execIs();
-    bool evalArith(const TaggedWord &w, std::int64_t &out);
-    bool arithCompare(kl0::Builtin b);
-    /** Standard order comparison; -1/0/+1 via @p out. */
-    bool termCompare(const TaggedWord &a, const TaggedWord &b,
-                     int &out);
-    bool structuralEq(const TaggedWord &a, const TaggedWord &b);
-    void writeTerm(const TaggedWord &w, int depth = 0);
-    bool builtinFunctor();
-    bool builtinArg();
-    bool builtinUniv();
-    bool builtinVector(kl0::Builtin b);
-    bool builtinGlobal(kl0::Builtin b);
-    /**
-     * process_call/2: run an arity-0 predicate to its first solution
-     * inside another process's stack areas (the paper's §2.1
-     * multi-process support: the heap is shared, the four stacks are
-     * independent logical spaces).  The work-file contents and the
-     * current control registers are saved across the switch, as on
-     * the PSI.
-     */
-    bool builtinProcessCall();
-    /** Nested firmware loop used by process_call. */
-    bool runNested(std::uint32_t functor_idx, std::uint64_t max_steps);
-
-    TaggedWord readA(std::uint32_t i, Module m);
-    void writeA(std::uint32_t i, const TaggedWord &w, Module m);
-
-    // ----- components --------------------------------------------------
-    /** Quick check: can clause head arg 1 possibly match @p a1? */
-    bool firstArgMayMatch(std::uint32_t clause_addr,
-                          const TaggedWord &a1);
-
-    MemorySystem _mem;
-    micro::Sequencer _seq;
-    kl0::SymbolTable _syms;
     kl0::CodeGen _codegen;
-    FirmwareOptions _fw;
-
-    // ----- machine registers (conceptually WF scratch) -----------------
-    std::uint32_t _gt = kStackBase;   ///< global stack top
-    std::uint32_t _lt = kStackBase;   ///< local stack top
-    std::uint32_t _ct = kStackBase;   ///< control stack top
-    std::uint32_t _memTT = kStackBase;///< trail stack top (memory part)
-    std::uint32_t _b = kNoChoice;     ///< newest choice point
-    std::uint32_t _hb = 0;            ///< global top at newest CP
-    std::uint32_t _hl = 0;            ///< local top at newest CP
-    std::uint32_t _cp = 0;            ///< code pointer
-    Activation _act;
-    int _curBuf = 0;
-    std::uint32_t _trailBufCount = 0; ///< entries in the WF buffer
-    std::uint32_t _vecTop = kl0::kVectorBase;
-    std::uint64_t _inferences = 0;
-    std::uint64_t _idxHits = 0;       ///< index-dispatched calls
-    std::uint64_t _idxFallbacks = 0;  ///< linear-fallback calls
-    std::uint64_t _clauseTries = 0;   ///< clause candidates visited
-    std::string _out;
-    std::size_t _maxOutputBytes = 1 << 20;
-    bool _failFlag = false;           ///< set by dispatch on failure
     bool _resetStatsOnRun = true;
-    bool _inProcessCall = false;      ///< nesting guard
-    std::vector<bool> _warnedUndefined;
-    /** Per-process stack cursors (index = process id; the paper's
-     *  per-process logical areas are offset windows of 1 << 24
-     *  words within each stack area). */
-    struct ProcTops
-    {
-        std::uint32_t gt, lt, ct, tt;
-        bool started = false;
-    };
-    std::array<ProcTops, kProcesses> _procTops{};
 };
 
 } // namespace interp

@@ -40,7 +40,11 @@ struct LogicalAddr
     std::uint32_t offset = 0;
 
     LogicalAddr() = default;
-    LogicalAddr(Area a, std::uint32_t off) : area(a), offset(off)
+    // Forced inline (with plus()): the engines build one per memory
+    // access, and an out-of-line range check costs more than the
+    // access itself.
+    [[gnu::always_inline]] LogicalAddr(Area a, std::uint32_t off)
+        : area(a), offset(off)
     {
         PSI_ASSERT(off < (1u << 28), "logical offset overflow");
     }
@@ -63,7 +67,7 @@ struct LogicalAddr
         return a;
     }
 
-    LogicalAddr
+    [[gnu::always_inline]] LogicalAddr
     plus(std::uint32_t n) const
     {
         return LogicalAddr(area, offset + n);

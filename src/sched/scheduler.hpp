@@ -2,11 +2,11 @@
  * @file
  * psisched: pluggable scheduling for the engine pool.
  *
- * The pool used to drain one FIFO BoundedQueue: a burst of one
- * tenant's heavy queries starved everyone else, and requests sharing
- * a compiled image landed on arbitrary workers, wasting the warm
- * per-worker engine layout.  Scheduler<T> replaces that queue with a
- * policy object; two implementations ship:
+ * Drained as one bounded FIFO queue, the pool lets a burst of one
+ * tenant's heavy queries starve everyone else, and requests sharing
+ * a compiled image land on arbitrary workers, wasting the warm
+ * per-worker engine layout.  Scheduler<T> puts a policy object in
+ * place of that queue; two implementations ship:
  *
  *  - FifoScheduler: the original arrival-order queue, kept so legacy
  *    behavior stays selectable and differential-testable.
@@ -79,8 +79,8 @@ struct SchedConfig
     /** Global queue bound (jobs waiting, all tenants). */
     std::size_t capacity = 64;
     /** Per-tenant queued-job bound; 0 = capacity (no extra bound),
-     *  so a single-tenant deployment behaves exactly like the old
-     *  BoundedQueue.  Breach refuses fail-fast (OVERLOADED). */
+     *  so a single-tenant deployment behaves exactly like one bounded
+     *  FIFO queue.  Breach refuses fail-fast (OVERLOADED). */
     std::size_t tenantQuota = 0;
     /** Max consecutive same-image dispatches to one worker before
      *  the fair order takes back over. */
@@ -127,8 +127,9 @@ struct Dispatched
 };
 
 /**
- * The pool-facing scheduling interface.  Thread-safe; push and pop
- * block/wake exactly like the BoundedQueue they replace.
+ * The pool-facing scheduling interface.  Thread-safe; push blocks
+ * while the queue is full and pop while it is empty, and close()
+ * lets the workers drain what is queued before end-of-stream.
  */
 template <typename T>
 class Scheduler

@@ -4,7 +4,6 @@
  *
  *  - service::EnginePool      worker threads with warm engines
  *  - service::ProgramCache    memoized KL0 compilation (shared)
- *  - service::BoundedQueue    MPMC job queue with backpressure
  *  - service::WorkerMetrics   mergeable per-worker statistics
  *  - service::MetricsSnapshot aggregated service report (table/JSON)
  *  - service::LatencyHistogram p50/p95/p99 latency tracking
@@ -15,7 +14,6 @@
 
 #include "service/engine_pool.hpp"
 #include "service/histogram.hpp"
-#include "service/job_queue.hpp"
 #include "service/metrics.hpp"
 #include "service/program_cache.hpp"
 

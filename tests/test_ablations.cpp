@@ -15,11 +15,33 @@ using namespace psi::interp;
 
 namespace {
 
+/** The measured PSI's code: no first-argument index, no specialized
+ *  builtins. */
+kl0::CompileOptions
+unindexed()
+{
+    kl0::CompileOptions o;
+    o.firstArgIndexing = false;
+    o.specializeBuiltins = false;
+    return o;
+}
+
+/** The same code plus the compiled first-argument index. */
+kl0::CompileOptions
+indexed()
+{
+    kl0::CompileOptions o = unindexed();
+    o.firstArgIndexing = true;
+    return o;
+}
+
 std::vector<std::string>
-solutionsWith(const FirmwareOptions &fw, const std::string &program,
-              const std::string &query, int max = 50)
+solutionsWith(const FirmwareOptions &fw, const kl0::CompileOptions &code,
+              const std::string &program, const std::string &query,
+              int max = 50)
 {
     Engine eng(CacheConfig::psi(), fw);
+    eng.setCompileOptions(code);
     eng.consult(program);
     RunLimits lim;
     lim.maxSolutions = max;
@@ -37,8 +59,16 @@ solutionsWith(const FirmwareOptions &fw, const std::string &program,
     return out;
 }
 
-/** All four single-feature variants. */
-std::vector<FirmwareOptions>
+/** A firmware variant and the image it runs. */
+struct Variant
+{
+    FirmwareOptions fw;
+    kl0::CompileOptions code;
+};
+
+/** The three single-feature firmware variants, the indexed image,
+ *  and everything toggled at once. */
+std::vector<Variant>
 variants()
 {
     FirmwareOptions no_ws;
@@ -47,14 +77,15 @@ variants()
     no_tb.trailBuffer = false;
     FirmwareOptions no_fb;
     no_fb.frameBuffers = false;
-    FirmwareOptions idx;
-    idx.firstArgIndexing = true;
     FirmwareOptions all_off;
     all_off.writeStackCommand = false;
     all_off.trailBuffer = false;
     all_off.frameBuffers = false;
-    all_off.firstArgIndexing = true;
-    return {no_ws, no_tb, no_fb, idx, all_off};
+    return {{no_ws, unindexed()},
+            {no_tb, unindexed()},
+            {no_fb, unindexed()},
+            {FirmwareOptions(), indexed()},
+            {all_off, indexed()}};
 }
 
 const char *kProg =
@@ -70,7 +101,6 @@ const char *kProg =
 
 TEST(Ablations, AllVariantsPreserveSemantics)
 {
-    FirmwareOptions base;
     const char *queries[] = {
         "app(X, Y, [1,2,3])",
         "r(2, L)",
@@ -81,10 +111,11 @@ TEST(Ablations, AllVariantsPreserveSemantics)
         "loc(X, Y)",
     };
     for (const char *q : queries) {
-        auto expect = solutionsWith(base, kProg, q);
+        auto expect =
+            solutionsWith(FirmwareOptions(), unindexed(), kProg, q);
         int vi = 0;
-        for (const auto &fw : variants()) {
-            EXPECT_EQ(solutionsWith(fw, kProg, q), expect)
+        for (const auto &v : variants()) {
+            EXPECT_EQ(solutionsWith(v.fw, v.code, kProg, q), expect)
                 << "variant " << vi << " query " << q;
             ++vi;
         }
@@ -93,13 +124,13 @@ TEST(Ablations, AllVariantsPreserveSemantics)
 
 TEST(Ablations, WorkloadsUnchangedUnderIndexing)
 {
-    FirmwareOptions idx;
-    idx.firstArgIndexing = true;
     for (const char *id : {"queens1", "bup2", "harmonizer2", "lcp2"}) {
         const auto &p = programs::programById(id);
         Engine a;
+        a.setCompileOptions(unindexed());
         a.consult(p.source);
-        Engine b(CacheConfig::psi(), idx);
+        Engine b;
+        b.setCompileOptions(indexed());
         b.consult(p.source);
         auto ra = a.solve(p.query);
         auto rb = b.solve(p.query);
@@ -113,27 +144,19 @@ TEST(Ablations, WorkloadsUnchangedUnderIndexing)
 
 TEST(Ablations, IndexingNeverSlower)
 {
-    // The runtime first-argument probe only has clauses to skip on a
-    // linear chain; with compile-time indexing (the default) the
-    // chain is already filtered and the probe is pure overhead.  Pin
-    // both engines to unindexed images so the ablation keeps
-    // measuring the probe itself.
-    kl0::CompileOptions plain;
-    plain.firstArgIndexing = false;
-    plain.specializeBuiltins = false;
-    FirmwareOptions idx;
-    idx.firstArgIndexing = true;
+    // The compiled first-argument index only removes clause trials,
+    // so the indexed image may not cost model time on list code.
     for (const char *id : {"nreverse30", "bup2", "lcp2"}) {
         const auto &p = programs::programById(id);
         Engine a;
-        a.setCompileOptions(plain);
+        a.setCompileOptions(unindexed());
         a.consult(p.source);
-        Engine b(CacheConfig::psi(), idx);
-        b.setCompileOptions(plain);
+        Engine b;
+        b.setCompileOptions(indexed());
         b.consult(p.source);
         auto ta = a.solve(p.query).timeNs;
         auto tb = b.solve(p.query).timeNs;
-        // Allow 2% tolerance (probe overhead on tiny predicates).
+        // Allow 2% tolerance (dispatch overhead on tiny predicates).
         EXPECT_LE(tb, ta + ta / 50) << id;
     }
 }

@@ -27,7 +27,6 @@
 namespace {
 
 using namespace psi;
-using service::BoundedQueue;
 using service::EnginePool;
 using service::JobOutcome;
 using service::LatencyHistogram;
@@ -54,120 +53,6 @@ deadlineLimits(std::uint64_t ms)
     interp::RunLimits limits;
     limits.deadlineNs = ms * kMsNs;
     return limits;
-}
-
-// ---------------------------------------------------------------------
-// Bounded queue
-// ---------------------------------------------------------------------
-
-TEST(JobQueue, FailFastBackpressure)
-{
-    BoundedQueue<int> q(2);
-    int a = 1, b = 2, c = 3;
-    EXPECT_TRUE(q.tryPush(a));
-    EXPECT_TRUE(q.tryPush(b));
-    EXPECT_FALSE(q.tryPush(c));  // full: refused, not queued
-    EXPECT_EQ(q.size(), 2u);
-
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_TRUE(q.tryPush(c));   // space again
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.pop().value(), 3);
-}
-
-TEST(JobQueue, BlockingPushWaitsForSpace)
-{
-    BoundedQueue<int> q(1);
-    EXPECT_TRUE(q.push(1));
-
-    std::thread consumer([&q] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        EXPECT_EQ(q.pop().value(), 1);
-        EXPECT_EQ(q.pop().value(), 2);
-    });
-    EXPECT_TRUE(q.push(2));  // blocks until the consumer drains one
-    consumer.join();
-    EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(JobQueue, CloseDrainsThenEndsStream)
-{
-    BoundedQueue<int> q(4);
-    EXPECT_TRUE(q.push(1));
-    EXPECT_TRUE(q.push(2));
-    q.close();
-
-    int x = 9;
-    EXPECT_FALSE(q.push(3));
-    EXPECT_FALSE(q.tryPush(x));
-    EXPECT_EQ(q.pop().value(), 1);   // items already queued drain
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_FALSE(q.pop().has_value()); // then end-of-stream
-}
-
-/**
- * Edge-semantics pin: tryPush() racing close() must be exactly-once.
- * Whatever interleaving the race takes, an item is either refused
- * (tryPush returned false, caller keeps it) or drains exactly once
- * after close - never lost, never duplicated, never reordered.
- */
-TEST(JobQueue, TryPushRacingCloseIsExactlyOnce)
-{
-    for (int round = 0; round < 50; ++round) {
-        BoundedQueue<int> q(64);
-        std::atomic<int> accepted{0};
-
-        std::thread closer([&q] { q.close(); });
-        std::thread producer([&q, &accepted] {
-            for (int i = 1; i <= 32; ++i) {
-                int v = i;
-                if (!q.tryPush(v))
-                    break; // closed (or full): nothing enqueued
-                ++accepted;
-            }
-        });
-        producer.join();
-        closer.join();
-
-        // Exactly the accepted prefix drains, in order, then EOS.
-        for (int want = 1; want <= accepted.load(); ++want) {
-            auto got = q.pop();
-            ASSERT_TRUE(got.has_value());
-            EXPECT_EQ(*got, want);
-        }
-        EXPECT_FALSE(q.pop().has_value());
-    }
-}
-
-/**
- * Edge-semantics pin: close() with concurrent blocked consumers.
- * Every queued item is delivered to exactly one consumer before any
- * of them sees end-of-stream, and consumers beyond the item count
- * unblock with end-of-stream instead of hanging.
- */
-TEST(JobQueue, CloseWakesAllConsumersAfterDrain)
-{
-    BoundedQueue<int> q(8);
-    constexpr int kItems = 3, kConsumers = 6;
-    std::atomic<int> delivered{0}, ended{0};
-
-    std::vector<std::thread> consumers;
-    for (int i = 0; i < kConsumers; ++i) {
-        consumers.emplace_back([&q, &delivered, &ended] {
-            while (auto item = q.pop())
-                ++delivered;
-            ++ended;
-        });
-    }
-    for (int i = 1; i <= kItems; ++i)
-        ASSERT_TRUE(q.push(i));
-    q.close();
-    for (auto &t : consumers)
-        t.join();
-
-    EXPECT_EQ(delivered.load(), kItems);  // each item exactly once
-    EXPECT_EQ(ended.load(), kConsumers);  // every consumer unblocked
-    EXPECT_EQ(q.size(), 0u);
 }
 
 // ---------------------------------------------------------------------

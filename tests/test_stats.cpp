@@ -4,57 +4,6 @@
 
 using namespace psi::stats;
 
-TEST(Stats, CounterBasics)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c++;
-    c += 3;
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, GroupAddAndGet)
-{
-    Group g("test");
-    g.add("a");
-    g.add("a", 2);
-    g.add("b", 10);
-    EXPECT_EQ(g.get("a"), 3u);
-    EXPECT_EQ(g.get("b"), 10u);
-    EXPECT_EQ(g.get("missing"), 0u);
-}
-
-TEST(Stats, GroupTotal)
-{
-    Group g("test");
-    g.add("x", 4);
-    g.add("y", 6);
-    EXPECT_EQ(g.total(), 10u);
-}
-
-TEST(Stats, GroupKeysInsertionOrder)
-{
-    Group g("test");
-    g.add("z");
-    g.add("a");
-    g.add("z");
-    ASSERT_EQ(g.keys().size(), 2u);
-    EXPECT_EQ(g.keys()[0], "z");
-    EXPECT_EQ(g.keys()[1], "a");
-}
-
-TEST(Stats, GroupReset)
-{
-    Group g("test");
-    g.add("a", 5);
-    g.reset();
-    EXPECT_EQ(g.total(), 0u);
-    EXPECT_TRUE(g.keys().empty());
-}
-
 TEST(Stats, PctHandlesZeroDenominator)
 {
     EXPECT_DOUBLE_EQ(pct(5, 0), 0.0);
