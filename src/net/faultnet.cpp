@@ -1,9 +1,7 @@
 #include "net/faultnet.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -16,6 +14,7 @@
 
 #include "base/logging.hpp"
 #include "base/strutil.hpp"
+#include "net/conn.hpp"
 
 namespace psi {
 namespace net {
@@ -23,30 +22,6 @@ namespace net {
 namespace {
 
 using clock_type = std::chrono::steady_clock;
-
-bool
-setNonBlocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    return flags >= 0 &&
-           ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-void
-setNoDelay(int fd)
-{
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-void
-closeFd(int &fd)
-{
-    if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-    }
-}
 
 bool
 parseProb(const std::string &value, double *out)
@@ -180,48 +155,13 @@ FaultProxy::~FaultProxy()
 bool
 FaultProxy::start(std::string *error)
 {
-    auto fail = [&](const std::string &what) {
+    if (!_wake.open(error) ||
+        !_listener.open("127.0.0.1", 0, false, error)) {
+        _wake.close();
         if (error)
-            *error = what + ": " + std::strerror(errno);
-        closeFd(_listenFd);
-        closeFd(_wakeRead);
-        closeFd(_wakeWrite);
+            *error = "faultnet: " + *error;
         return false;
-    };
-
-    int pipefds[2];
-    if (::pipe(pipefds) != 0)
-        return fail("faultnet: pipe");
-    _wakeRead = pipefds[0];
-    _wakeWrite = pipefds[1];
-    if (!setNonBlocking(_wakeRead) || !setNonBlocking(_wakeWrite))
-        return fail("faultnet: fcntl(wake pipe)");
-
-    _listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (_listenFd < 0)
-        return fail("faultnet: socket");
-    int one = 1;
-    ::setsockopt(_listenFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = 0; // ephemeral
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::bind(_listenFd, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        return fail("faultnet: bind");
-    if (::listen(_listenFd, 64) != 0)
-        return fail("faultnet: listen");
-    if (!setNonBlocking(_listenFd))
-        return fail("faultnet: fcntl(listener)");
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(_listenFd, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0)
-        return fail("faultnet: getsockname");
-    _port = ntohs(addr.sin_port);
-
+    }
     _stop.store(false, std::memory_order_release);
     _thread = std::thread([this] { relayMain(); });
     return true;
@@ -239,17 +179,15 @@ FaultProxy::stop()
     if (!_thread.joinable())
         return;
     _stop.store(true, std::memory_order_release);
-    char byte = 's';
-    [[maybe_unused]] ssize_t n = ::write(_wakeWrite, &byte, 1);
+    _wake.notify();
     _thread.join();
     for (auto &entry : _pairs) {
         closeFd(entry.second.client.fd);
         closeFd(entry.second.upstream.fd);
     }
     _pairs.clear();
-    closeFd(_listenFd);
-    closeFd(_wakeRead);
-    closeFd(_wakeWrite);
+    _listener.close();
+    _wake.close();
 }
 
 FaultStats
@@ -274,12 +212,7 @@ FaultProxy::hardClose(int fd)
 void
 FaultProxy::acceptOne()
 {
-    for (;;) {
-        int cfd = ::accept(_listenFd, nullptr, nullptr);
-        if (cfd < 0)
-            return;
-        setNoDelay(cfd);
-
+    _listener.acceptAll([this](int cfd) {
         sockaddr_in addr{};
         addr.sin_family = AF_INET;
         addr.sin_port = htons(static_cast<std::uint16_t>(
@@ -296,27 +229,20 @@ FaultProxy::acceptOne()
             if (!dialed)
                 ++_stats.upstreamFailed;
         }
-        if (!dialed) {
+        if (!dialed || !prepareStream(ufd)) {
             // No server behind the proxy: the client sees an
             // immediate close, which its retry policy treats as a
             // transient connection failure.
-            if (ufd >= 0)
-                ::close(ufd);
+            closeFd(ufd);
             ::close(cfd);
-            continue;
-        }
-        setNoDelay(ufd);
-        if (!setNonBlocking(cfd) || !setNonBlocking(ufd)) {
-            ::close(cfd);
-            ::close(ufd);
-            continue;
+            return;
         }
 
         Pair pair;
         pair.client.fd = cfd;
         pair.upstream.fd = ufd;
         _pairs.emplace(_nextPairId++, std::move(pair));
-    }
+    });
 }
 
 /**
@@ -489,8 +415,8 @@ FaultProxy::relayMain()
     while (!_stop.load(std::memory_order_acquire)) {
         std::vector<pollfd> fds;
         std::vector<std::pair<std::uint64_t, bool>> slots; // id, isClient
-        fds.push_back({_wakeRead, POLLIN, 0});
-        fds.push_back({_listenFd, POLLIN, 0});
+        fds.push_back({_wake.readFd(), POLLIN, 0});
+        fds.push_back({_listener.fd(), POLLIN, 0});
 
         auto now = clock_type::now();
         int timeoutMs = 100; // re-check stop / releases regardless
@@ -526,11 +452,8 @@ FaultProxy::relayMain()
         if (ready < 0 && errno != EINTR)
             break;
 
-        if (fds[0].revents & POLLIN) {
-            char buf[64];
-            while (::read(_wakeRead, buf, sizeof(buf)) > 0) {
-            }
-        }
+        if (fds[0].revents & POLLIN)
+            _wake.drain();
         if (fds[1].revents & POLLIN)
             acceptOne();
 

@@ -39,6 +39,7 @@
 #include <thread>
 
 #include "base/backoff.hpp"
+#include "net/conn.hpp"
 
 namespace psi {
 namespace net {
@@ -110,7 +111,7 @@ class FaultProxy
     bool start(std::string *error = nullptr);
 
     /** The port clients should connect to. */
-    std::uint16_t port() const { return _port; }
+    std::uint16_t port() const { return _listener.port(); }
 
     /** Re-point *new* connections at @p upstreamPort (server
      *  restarted on a different port mid-batch). */
@@ -161,10 +162,8 @@ class FaultProxy
     SplitMix64 _rng;
     std::uint64_t _sinceReset = 0; ///< forwarded bytes since a reset
 
-    int _listenFd = -1;
-    int _wakeRead = -1;
-    int _wakeWrite = -1;
-    std::uint16_t _port = 0;
+    Listener _listener;
+    WakePipe _wake;
     std::thread _thread;
     std::atomic<bool> _stop{false};
 

@@ -3,6 +3,9 @@
  * Umbrella header for psinet, the TCP front end of the psid service:
  *
  *  - net::wire       length-prefixed framed messages (wire.hpp)
+ *  - net::FramedConn listener, wake pipe and framed connection shared
+ *                    by the server, the router and the proxy
+ *                    (conn.hpp)
  *  - net::PsiServer  poll-based non-blocking server over EnginePool
  *  - net::PsiClient  blocking client library (also pipelined, and
  *                    resilient via submitRetry())
@@ -16,6 +19,7 @@
 #define PSI_NET_NET_HPP
 
 #include "net/client.hpp"
+#include "net/conn.hpp"
 #include "net/faultnet.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"

@@ -1,12 +1,6 @@
 #include "net/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <csignal>
@@ -29,32 +23,6 @@ drainSignalHandler(int)
 {
     if (PsiServer *server = g_signalServer.load())
         server->requestDrain();
-}
-
-bool
-setNonBlocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    return flags >= 0 &&
-           ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-void
-closeFd(int &fd)
-{
-    if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-    }
-}
-
-std::uint64_t
-nsSince(std::chrono::steady_clock::time_point from)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - from)
-            .count());
 }
 
 } // namespace
@@ -80,75 +48,23 @@ PsiServer::~PsiServer()
         g_signalServer.store(nullptr);
     // Drain the pool while the completion queue, its mutex and the
     // wake pipe are still alive: in-flight done-callbacks lock
-    // _completionMutex and write to _wakeWrite, so letting member
+    // _completionMutex and notify _wake, so letting member
     // destruction (reverse declaration order) reach them first
     // would hand the callbacks destroyed state.  Idempotent when
     // run() already shut the pool down.
     _pool.shutdown();
-    for (auto &entry : _conns)
-        closeFd(entry.second.fd);
-    closeFd(_listenFd);
-    closeFd(_wakeRead);
-    closeFd(_wakeWrite);
 }
 
 bool
 PsiServer::start(std::string *error)
 {
-    auto fail = [&](const std::string &what) {
-        if (error)
-            *error = what + ": " + std::strerror(errno);
-        closeFd(_listenFd);
-        closeFd(_wakeRead);
-        closeFd(_wakeWrite);
+    if (!_wake.open(error))
         return false;
-    };
-
-    int pipefds[2];
-    if (::pipe(pipefds) != 0)
-        return fail("pipe");
-    _wakeRead = pipefds[0];
-    _wakeWrite = pipefds[1];
-    if (!setNonBlocking(_wakeRead) || !setNonBlocking(_wakeWrite))
-        return fail("fcntl(wake pipe)");
-
-    _listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (_listenFd < 0)
-        return fail("socket");
-    int one = 1;
-    ::setsockopt(_listenFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-    if (_config.reusePort &&
-        ::setsockopt(_listenFd, SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof(one)) != 0)
-        return fail("setsockopt(SO_REUSEPORT)");
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(_config.port);
-    if (::inet_pton(AF_INET, _config.bindAddr.c_str(),
-                    &addr.sin_addr) != 1) {
-        if (error)
-            *error = "bad bind address '" + _config.bindAddr + "'";
-        closeFd(_listenFd);
-        closeFd(_wakeRead);
-        closeFd(_wakeWrite);
+    if (!_listener.open(_config.bindAddr, _config.port,
+                        _config.reusePort, error)) {
+        _wake.close();
         return false;
     }
-    if (::bind(_listenFd, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        return fail("bind " + _config.bindAddr + ":" +
-                    std::to_string(_config.port));
-    if (::listen(_listenFd, 128) != 0)
-        return fail("listen");
-    if (!setNonBlocking(_listenFd))
-        return fail("fcntl(listener)");
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(_listenFd, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0)
-        return fail("getsockname");
-    _port = ntohs(addr.sin_port);
     return true;
 }
 
@@ -156,12 +72,7 @@ void
 PsiServer::requestDrain()
 {
     _drain.store(true, std::memory_order_release);
-    // Wake the poll loop; write(2) is async-signal-safe and the pipe
-    // is non-blocking, so this is safe inside a signal handler.
-    if (_wakeWrite >= 0) {
-        char byte = 'd';
-        [[maybe_unused]] ssize_t n = ::write(_wakeWrite, &byte, 1);
-    }
+    _wake.notify(); // async-signal-safe
 }
 
 void
@@ -178,7 +89,7 @@ PsiServer::installSignalHandlers()
 void
 PsiServer::run()
 {
-    PSI_ASSERT(_listenFd >= 0, "PsiServer::run() before start()");
+    PSI_ASSERT(_listener.isOpen(), "PsiServer::run() before start()");
     while (!drainComplete())
         pollOnce();
 
@@ -187,9 +98,7 @@ PsiServer::run()
     // its accept queue.  Close it: the kernel resets the parked
     // connections, turning a silent forever-hang into a clean
     // retryable error on the client side.
-    closeFd(_listenFd);
-    for (auto &entry : _conns)
-        closeFd(entry.second.fd);
+    _listener.close();
     _conns.clear();
     _pool.shutdown();
 }
@@ -206,11 +115,9 @@ PsiServer::drainComplete() const
         if (!_completions.empty())
             return false;
     }
-    for (const auto &entry : _conns) {
-        const Conn &conn = entry.second;
-        if (conn.woff < conn.wbuf.size())
+    for (const auto &entry : _conns)
+        if (entry.second.wantsWrite())
             return false;
-    }
     return true;
 }
 
@@ -219,15 +126,15 @@ PsiServer::pollOnce()
 {
     bool draining = _drain.load(std::memory_order_acquire);
     if (draining)
-        closeFd(_listenFd); // stop accepting; run() owns the exit
+        _listener.close(); // stop accepting; run() owns the exit
 
     std::vector<pollfd> fds;
     fds.reserve(_conns.size() + 2);
-    fds.push_back({_wakeRead, POLLIN, 0});
+    fds.push_back({_wake.readFd(), POLLIN, 0});
     std::size_t listenerSlot = 0;
-    if (!draining && _listenFd >= 0) {
+    if (!draining && _listener.isOpen()) {
         listenerSlot = fds.size();
-        fds.push_back({_listenFd, POLLIN, 0});
+        fds.push_back({_listener.fd(), POLLIN, 0});
     }
 
     std::vector<std::uint64_t> order;
@@ -235,9 +142,9 @@ PsiServer::pollOnce()
     for (auto &entry : _conns) {
         Conn &conn = entry.second;
         short events = POLLIN;
-        if (conn.woff < conn.wbuf.size())
+        if (conn.wantsWrite())
             events |= POLLOUT;
-        fds.push_back({conn.fd, events, 0});
+        fds.push_back({conn.fd(), events, 0});
         order.push_back(conn.id);
     }
 
@@ -256,8 +163,8 @@ PsiServer::pollOnce()
         trace::enabled() ? trace::nowNs() : 0;
 
     if (fds[0].revents & POLLIN)
-        drainWakePipe();
-    if (!draining && _listenFd >= 0 &&
+        _wake.drain();
+    if (!draining && _listener.isOpen() &&
         (fds[listenerSlot].revents & POLLIN))
         acceptConnections();
 
@@ -274,7 +181,7 @@ PsiServer::pollOnce()
         if (ok && (revents & POLLIN))
             ok = handleReadable(conn, pollWakeNs);
         if (ok && (revents & POLLOUT))
-            ok = flushWrites(conn);
+            ok = conn.flush();
         if (!ok)
             _closing.push_back(conn.id);
     }
@@ -282,66 +189,41 @@ PsiServer::pollOnce()
     processCompletions();
 
     for (std::uint64_t id : _closing)
-        closeConn(id);
+        _conns.erase(id);
     _closing.clear();
 }
 
 void
 PsiServer::acceptConnections()
 {
-    for (;;) {
-        const bool tracing = trace::enabled();
-        std::uint64_t t0 = tracing ? trace::nowNs() : 0;
-        int fd = ::accept(_listenFd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK ||
-                errno == EINTR)
-                return;
-            warn("psinet: accept failed: ", std::strerror(errno));
-            return;
-        }
-        if (!setNonBlocking(fd)) {
-            ::close(fd);
-            continue;
-        }
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-        Conn conn;
-        conn.fd = fd;
-        conn.id = _nextConnId++;
-        _conns.emplace(conn.id, std::move(conn));
+    const bool tracing = trace::enabled();
+    std::uint64_t t0 = tracing ? trace::nowNs() : 0;
+    int err = _listener.acceptAll([&](int fd) {
+        std::uint64_t id = _nextConnId++;
+        Conn &conn = _conns[id];
+        conn.id = id;
+        conn.reset(fd);
         _connsAccepted.fetch_add(1, std::memory_order_relaxed);
         // Connection accepts are not tied to a request yet; tag 0
         // marks them as connection-scoped events in the trace.
-        if (tracing)
-            trace::record(trace::Stage::Accept, 0, t0,
-                          trace::nowNs());
-    }
+        if (tracing) {
+            std::uint64_t t1 = trace::nowNs();
+            trace::record(trace::Stage::Accept, 0, t0, t1);
+            t0 = t1;
+        }
+    });
+    if (err != 0)
+        warn("psinet: accept failed: ", std::strerror(err));
 }
 
 bool
 PsiServer::handleReadable(Conn &conn, std::uint64_t pollWakeNs)
 {
-    char chunk[64 * 1024];
-    for (;;) {
-        ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
-        if (n > 0) {
-            conn.rbuf.append(chunk, static_cast<std::size_t>(n));
-            if (n < static_cast<ssize_t>(sizeof(chunk)))
-                break;
-            continue;
-        }
-        if (n == 0)
-            return false; // peer closed
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
+    if (!conn.readAvailable())
         return false;
-    }
 
-    std::string payload;
+    Message msg;
+    std::string derror;
     bool firstFrame = true;
     for (;;) {
         std::uint64_t decodeStartNs = 0;
@@ -351,28 +233,25 @@ PsiServer::handleReadable(Conn &conn, std::uint64_t pollWakeNs)
                                 : trace::nowNs();
         }
         firstFrame = false;
-        switch (extractFrame(conn.rbuf, payload)) {
-          case FrameResult::NeedMore:
+        switch (conn.next(msg, derror)) {
+          case FramedConn::Next::NeedMore:
             return true;
-          case FrameResult::Bad:
+          case FramedConn::Next::BadFrame:
             warn("psinet: dropping connection ", conn.id,
                  " (oversized or empty frame)");
             _badFrames.fetch_add(1, std::memory_order_relaxed);
             _connsDropped.fetch_add(1, std::memory_order_relaxed);
             return false;
-          case FrameResult::Frame:
-            break;
-        }
-        std::string derror;
-        std::optional<Message> msg = decode(payload, &derror);
-        if (!msg) {
+          case FramedConn::Next::BadPayload:
             warn("psinet: dropping connection ", conn.id, " (",
                  derror, ")");
             _decodeErrors.fetch_add(1, std::memory_order_relaxed);
             _connsDropped.fetch_add(1, std::memory_order_relaxed);
             return false;
+          case FramedConn::Next::Message:
+            break;
         }
-        if (!handleMessage(conn, std::move(*msg), decodeStartNs))
+        if (!handleMessage(conn, std::move(msg), decodeStartNs))
             return false;
     }
 }
@@ -386,31 +265,17 @@ PsiServer::handleMessage(Conn &conn, Message &&msg,
         return true;
     }
     if (auto *hello = std::get_if<HelloMsg>(&msg)) {
-        // v1 peers (which never send HELLO) stay wire-compatible, so
-        // a v1 HELLO is accepted too; only unknown majors are
-        // refused.  Minor versions and unknown feature bits never
-        // cause rejection - the reply advertises the intersection.
-        if (hello->versionMajor == 1 ||
-            hello->versionMajor == kProtocolMajor) {
-            HelloAckMsg ack;
-            ack.versionMajor = kProtocolMajor;
-            ack.versionMinor = kProtocolMinor;
-            ack.features = hello->features & kSupportedFeatures;
-            queueReply(conn, Message(std::move(ack)));
-            return flushWrites(conn);
+        Message reply =
+            answerHello(*hello, kSupportedFeatures, "server");
+        if (std::holds_alternative<HelloAckMsg>(reply)) {
+            queueReply(conn, reply);
+            return conn.flush();
         }
         warn("psinet: rejecting connection ", conn.id,
              " (unsupported protocol major ", hello->versionMajor,
              ")");
-        ErrorMsg err;
-        err.code = kErrUnsupportedVersion;
-        err.message =
-            "unsupported protocol major " +
-            std::to_string(hello->versionMajor) +
-            "; server speaks " + std::to_string(kProtocolMajor) +
-            " (and accepts 1)";
-        queueReply(conn, Message(std::move(err)));
-        flushWrites(conn);
+        queueReply(conn, reply);
+        conn.flush();
         _versionRejects.fetch_add(1, std::memory_order_relaxed);
         _connsDropped.fetch_add(1, std::memory_order_relaxed);
         return false;
@@ -419,26 +284,26 @@ PsiServer::handleMessage(Conn &conn, Message &&msg,
         StatsReplyMsg reply;
         reply.json = metrics().json(nsSince(_started));
         queueReply(conn, Message(std::move(reply)));
-        return flushWrites(conn);
+        return conn.flush();
     }
     if (std::get_if<TraceMsg>(&msg) != nullptr) {
         TraceReplyMsg reply;
         reply.json = trace::chromeJson(trace::collect());
         queueReply(conn, Message(std::move(reply)));
-        return flushWrites(conn);
+        return conn.flush();
     }
     if (std::get_if<MetricsMsg>(&msg) != nullptr) {
         MetricsReplyMsg reply;
         reply.text = metrics().prometheus(nsSince(_started));
         queueReply(conn, Message(std::move(reply)));
-        return flushWrites(conn);
+        return conn.flush();
     }
     if (std::get_if<DrainMsg>(&msg) != nullptr) {
         // Flag first, ack second: a client that has seen DRAIN_ACK
         // must be able to observe draining() == true.
         requestDrain();
         queueReply(conn, Message(DrainAckMsg{}));
-        return flushWrites(conn);
+        return conn.flush();
     }
     // RESULT / STATS_REPLY / DRAIN_ACK / HELLO_ACK / ERROR /
     // TRACE_REPLY / METRICS_REPLY are server-to-client only.
@@ -460,7 +325,7 @@ PsiServer::handleSubmit(Conn &conn, SubmitMsg &&msg,
         reply.status = status;
         reply.error = std::move(why);
         queueReply(conn, Message(std::move(reply)));
-        flushWrites(conn);
+        conn.flush();
     };
 
     if (_drain.load(std::memory_order_acquire)) {
@@ -507,8 +372,7 @@ PsiServer::handleSubmit(Conn &conn, SubmitMsg &&msg,
                 {connId, resultFromOutcome(tag, std::move(outcome)),
                  enqueueNs});
         }
-        char byte = 'c';
-        [[maybe_unused]] ssize_t n = ::write(_wakeWrite, &byte, 1);
+        _wake.notify();
     };
 
     std::optional<service::SubmitError> refused =
@@ -538,56 +402,10 @@ PsiServer::handleSubmit(Conn &conn, SubmitMsg &&msg,
 void
 PsiServer::queueReply(Conn &conn, const Message &msg)
 {
-    conn.wbuf.append(encode(msg));
-    if (conn.wbuf.size() - conn.woff > _config.maxWriteBuffer) {
+    if (!conn.queue(msg, _config.maxWriteBuffer)) {
         warn("psinet: dropping slow consumer connection ", conn.id);
         _connsDropped.fetch_add(1, std::memory_order_relaxed);
         _closing.push_back(conn.id);
-    }
-}
-
-bool
-PsiServer::flushWrites(Conn &conn)
-{
-    while (conn.woff < conn.wbuf.size()) {
-        ssize_t n = ::send(conn.fd, conn.wbuf.data() + conn.woff,
-                           conn.wbuf.size() - conn.woff,
-                           MSG_NOSIGNAL);
-        if (n > 0) {
-            conn.woff += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
-        return false;
-    }
-    if (conn.woff == conn.wbuf.size()) {
-        conn.wbuf.clear();
-        conn.woff = 0;
-    } else if (conn.woff > (1u << 20)) {
-        conn.wbuf.erase(0, conn.woff);
-        conn.woff = 0;
-    }
-    return true;
-}
-
-void
-PsiServer::closeConn(std::uint64_t id)
-{
-    auto it = _conns.find(id);
-    if (it == _conns.end())
-        return;
-    closeFd(it->second.fd);
-    _conns.erase(it);
-}
-
-void
-PsiServer::drainWakePipe()
-{
-    char buf[256];
-    while (::read(_wakeRead, buf, sizeof(buf)) > 0) {
     }
 }
 
@@ -617,7 +435,7 @@ PsiServer::processCompletions()
         std::uint64_t t1 = tracing ? trace::nowNs() : 0;
         if (tracing)
             trace::record(trace::Stage::Encode, traceTag, t0, t1);
-        bool ok = flushWrites(it->second);
+        bool ok = it->second.flush();
         if (tracing)
             trace::record(trace::Stage::Reply, traceTag, t1,
                           trace::nowNs());

@@ -10,11 +10,11 @@
  *        └── write state machine ◄── completion queue + wake pipe
  *            (frames -> buffer)
  *
- * Every socket is non-blocking.  Each connection owns a read buffer
- * that bytes accumulate into until extractFrame() cuts complete
- * frames off the front, and a write buffer that encoded replies
- * drain from whenever the socket is writable - the loop never
- * blocks on a peer.
+ * Every socket is non-blocking.  Each connection is a FramedConn
+ * (net/conn.hpp): a read buffer that bytes accumulate into until
+ * complete frames are cut off the front, and a write buffer that
+ * encoded replies drain from whenever the socket is writable - the
+ * loop never blocks on a peer.
  *
  * Backpressure is surfaced, not absorbed: a SUBMIT that meets a full
  * job queue in fail-fast mode gets an OVERLOADED reply immediately
@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "net/conn.hpp"
 #include "net/wire.hpp"
 #include "service/engine_pool.hpp"
 
@@ -94,7 +95,7 @@ class PsiServer
     bool start(std::string *error = nullptr);
 
     /** Actual listening port (after an ephemeral bind). */
-    std::uint16_t port() const { return _port; }
+    std::uint16_t port() const { return _listener.port(); }
 
     /** Event loop; returns after a drain completes. */
     void run();
@@ -132,13 +133,9 @@ class PsiServer
     }
 
   private:
-    struct Conn
+    struct Conn : FramedConn
     {
-        int fd = -1;
         std::uint64_t id = 0;
-        std::string rbuf;        ///< bytes read, not yet framed
-        std::string wbuf;        ///< encoded replies, not yet sent
-        std::size_t woff = 0;    ///< sent prefix of wbuf
     };
 
     struct Completion
@@ -164,19 +161,15 @@ class PsiServer
                        std::uint64_t decodeStartNs);
     void handleSubmit(Conn &conn, SubmitMsg &&msg,
                       std::uint64_t decodeStartNs);
+    /** Queue @p msg; a slow consumer is dropped (maxWriteBuffer). */
     void queueReply(Conn &conn, const Message &msg);
-    bool flushWrites(Conn &conn);
-    void closeConn(std::uint64_t id);
-    void drainWakePipe();
     void processCompletions();
     bool drainComplete() const;
 
     Config _config;
     service::EnginePool _pool;
-    int _listenFd = -1;
-    int _wakeRead = -1;
-    int _wakeWrite = -1;
-    std::uint16_t _port = 0;
+    Listener _listener;
+    WakePipe _wake;
     std::uint64_t _nextConnId = 1;
     std::map<std::uint64_t, Conn> _conns;
     std::vector<std::uint64_t> _closing;

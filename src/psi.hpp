@@ -16,7 +16,6 @@
  *  - trace::               psitrace - per-request span recording
  *                          with Chrome trace-event export
  *  - runOnPsi/runOnBaseline  one-call workload execution
- *  - runBatchOnPsi           pool-backed batch execution
  */
 
 #ifndef PSI_PSI_HPP

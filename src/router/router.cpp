@@ -1,12 +1,9 @@
 #include "router/router.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <csignal>
@@ -32,32 +29,6 @@ routerDrainSignalHandler(int)
 {
     if (PsiRouter *router = g_signalRouter.load())
         router->requestDrain();
-}
-
-bool
-setNonBlocking(int fd)
-{
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    return flags >= 0 &&
-           ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-void
-closeFd(int &fd)
-{
-    if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-    }
-}
-
-std::uint64_t
-nsSince(std::chrono::steady_clock::time_point from)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - from)
-            .count());
 }
 
 } // namespace
@@ -255,77 +226,23 @@ PsiRouter::~PsiRouter()
 {
     if (g_signalRouter.load() == this)
         g_signalRouter.store(nullptr);
-    for (auto &entry : _conns)
-        closeFd(entry.second.fd);
-    for (auto &backend : _backends)
-        closeFd(backend->fd);
-    closeFd(_listenFd);
-    closeFd(_wakeRead);
-    closeFd(_wakeWrite);
 }
 
 bool
 PsiRouter::start(std::string *error)
 {
-    auto fail = [&](const std::string &what) {
-        if (error)
-            *error = what + ": " + std::strerror(errno);
-        closeFd(_listenFd);
-        closeFd(_wakeRead);
-        closeFd(_wakeWrite);
-        return false;
-    };
-
     if (_backends.empty()) {
         if (error)
             *error = "no backends configured";
         return false;
     }
-
-    int pipefds[2];
-    if (::pipe(pipefds) != 0)
-        return fail("pipe");
-    _wakeRead = pipefds[0];
-    _wakeWrite = pipefds[1];
-    if (!setNonBlocking(_wakeRead) || !setNonBlocking(_wakeWrite))
-        return fail("fcntl(wake pipe)");
-
-    _listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (_listenFd < 0)
-        return fail("socket");
-    int one = 1;
-    ::setsockopt(_listenFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-    if (_config.reusePort)
-        ::setsockopt(_listenFd, SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(_config.port);
-    if (::inet_pton(AF_INET, _config.bindAddr.c_str(),
-                    &addr.sin_addr) != 1) {
-        if (error)
-            *error = "bad bind address '" + _config.bindAddr + "'";
-        closeFd(_listenFd);
-        closeFd(_wakeRead);
-        closeFd(_wakeWrite);
+    if (!_wake.open(error))
+        return false;
+    if (!_listener.open(_config.bindAddr, _config.port,
+                        _config.reusePort, error)) {
+        _wake.close();
         return false;
     }
-    if (::bind(_listenFd, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        return fail("bind " + _config.bindAddr + ":" +
-                    std::to_string(_config.port));
-    if (::listen(_listenFd, 128) != 0)
-        return fail("listen");
-    if (!setNonBlocking(_listenFd))
-        return fail("fcntl(listener)");
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(_listenFd, reinterpret_cast<sockaddr *>(&addr),
-                      &len) != 0)
-        return fail("getsockname");
-    _port = ntohs(addr.sin_port);
 
     // Dial every backend eagerly so the first SUBMIT usually finds a
     // populated ring; admission completes inside run()'s poll loop.
@@ -338,12 +255,7 @@ void
 PsiRouter::requestDrain()
 {
     _drain.store(true, std::memory_order_release);
-    // Wake the poll loop; write(2) is async-signal-safe and the pipe
-    // is non-blocking, so this is safe inside a signal handler.
-    if (_wakeWrite >= 0) {
-        char byte = 'd';
-        [[maybe_unused]] ssize_t n = ::write(_wakeWrite, &byte, 1);
-    }
+    _wake.notify(); // async-signal-safe
 }
 
 void
@@ -360,16 +272,14 @@ PsiRouter::installSignalHandlers()
 void
 PsiRouter::run()
 {
-    PSI_ASSERT(_listenFd >= 0, "PsiRouter::run() before start()");
+    PSI_ASSERT(_listener.isOpen(), "PsiRouter::run() before start()");
     while (!drainComplete())
         pollOnce();
 
-    closeFd(_listenFd);
-    for (auto &entry : _conns)
-        closeFd(entry.second.fd);
+    _listener.close();
     _conns.clear();
     for (auto &backend : _backends) {
-        closeFd(backend->fd);
+        backend->conn.reset();
         backend->state.store(BState::Ejected,
                              std::memory_order_release);
     }
@@ -384,11 +294,9 @@ PsiRouter::drainComplete() const
     // backends still owe us _pending RESULTs.
     if (!_pending.empty())
         return false;
-    for (const auto &entry : _conns) {
-        const Conn &conn = entry.second;
-        if (conn.woff < conn.wbuf.size())
+    for (const auto &entry : _conns)
+        if (entry.second.wantsWrite())
             return false;
-    }
     return true;
 }
 
@@ -431,17 +339,17 @@ PsiRouter::pollOnce()
 {
     bool draining = _drain.load(std::memory_order_acquire);
     if (draining)
-        closeFd(_listenFd); // stop accepting; run() owns the exit
+        _listener.close(); // stop accepting; run() owns the exit
 
     serviceBackendTimers();
 
     std::vector<pollfd> fds;
     fds.reserve(_conns.size() + _backends.size() + 2);
-    fds.push_back({_wakeRead, POLLIN, 0});
+    fds.push_back({_wake.readFd(), POLLIN, 0});
     std::size_t listenerSlot = 0;
-    if (!draining && _listenFd >= 0) {
+    if (!draining && _listener.isOpen()) {
         listenerSlot = fds.size();
-        fds.push_back({_listenFd, POLLIN, 0});
+        fds.push_back({_listener.fd(), POLLIN, 0});
     }
 
     std::size_t backendBase = fds.size();
@@ -449,17 +357,17 @@ PsiRouter::pollOnce()
     for (auto &backend : _backends) {
         BState state =
             backend->state.load(std::memory_order_relaxed);
-        if (backend->fd < 0 || state == BState::Ejected)
+        if (backend->conn.fd() < 0 || state == BState::Ejected)
             continue;
         short events = 0;
         if (state == BState::Connecting) {
             events = POLLOUT;
         } else {
             events = POLLIN;
-            if (backend->woff < backend->wbuf.size())
+            if (backend->conn.wantsWrite())
                 events |= POLLOUT;
         }
-        fds.push_back({backend->fd, events, 0});
+        fds.push_back({backend->conn.fd(), events, 0});
         backendOrder.push_back(backend->index);
     }
 
@@ -469,9 +377,9 @@ PsiRouter::pollOnce()
     for (auto &entry : _conns) {
         Conn &conn = entry.second;
         short events = POLLIN;
-        if (conn.woff < conn.wbuf.size())
+        if (conn.wantsWrite())
             events |= POLLOUT;
-        fds.push_back({conn.fd, events, 0});
+        fds.push_back({conn.fd(), events, 0});
         order.push_back(conn.id);
     }
 
@@ -483,8 +391,8 @@ PsiRouter::pollOnce()
     }
 
     if (fds[0].revents & POLLIN)
-        drainWakePipe();
-    if (!draining && _listenFd >= 0 &&
+        _wake.drain();
+    if (!draining && _listener.isOpen() &&
         (fds[listenerSlot].revents & POLLIN))
         acceptConnections();
 
@@ -500,7 +408,7 @@ PsiRouter::pollOnce()
                 finishConnect(backend);
             continue;
         }
-        if (state != BState::Admitted || backend.fd < 0)
+        if (state != BState::Admitted || backend.conn.fd() < 0)
             continue; // ejected earlier in this pass
         bool ok = true;
         if (revents & (POLLERR | POLLNVAL))
@@ -508,7 +416,7 @@ PsiRouter::pollOnce()
         if (ok && (revents & (POLLIN | POLLHUP)))
             ok = handleBackendReadable(backend);
         if (ok && (revents & POLLOUT))
-            ok = flushBackend(backend);
+            ok = backend.conn.flush();
         if (!ok &&
             backend.state.load(std::memory_order_relaxed) ==
                 BState::Admitted)
@@ -527,87 +435,54 @@ PsiRouter::pollOnce()
         if (ok && (revents & POLLIN))
             ok = handleClientReadable(conn);
         if (ok && (revents & POLLOUT))
-            ok = flushConn(conn);
+            ok = conn.flush();
         if (!ok)
             _closing.push_back(conn.id);
     }
 
     for (std::uint64_t id : _closing)
-        closeConn(id);
+        _conns.erase(id);
     _closing.clear();
 }
 
 void
 PsiRouter::acceptConnections()
 {
-    for (;;) {
-        int fd = ::accept(_listenFd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK ||
-                errno == EINTR)
-                return;
-            warn("psirouter: accept failed: ",
-                 std::strerror(errno));
-            return;
-        }
-        if (!setNonBlocking(fd)) {
-            ::close(fd);
-            continue;
-        }
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                     sizeof(one));
-
-        Conn conn;
-        conn.fd = fd;
-        conn.id = _nextConnId++;
-        _conns.emplace(conn.id, std::move(conn));
+    int err = _listener.acceptAll([this](int fd) {
+        std::uint64_t id = _nextConnId++;
+        Conn &conn = _conns[id];
+        conn.id = id;
+        conn.reset(fd);
         _clientConns.fetch_add(1, std::memory_order_relaxed);
-    }
+    });
+    if (err != 0)
+        warn("psirouter: accept failed: ", std::strerror(err));
 }
 
 bool
 PsiRouter::handleClientReadable(Conn &conn)
 {
-    char chunk[64 * 1024];
-    for (;;) {
-        ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
-        if (n > 0) {
-            conn.rbuf.append(chunk, static_cast<std::size_t>(n));
-            if (n < static_cast<ssize_t>(sizeof(chunk)))
-                break;
-            continue;
-        }
-        if (n == 0)
-            return false; // peer closed
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
+    if (!conn.readAvailable())
         return false;
-    }
 
-    std::string payload;
+    net::Message msg;
+    std::string derror;
     for (;;) {
-        switch (net::extractFrame(conn.rbuf, payload)) {
-          case net::FrameResult::NeedMore:
+        switch (conn.next(msg, derror)) {
+          case net::FramedConn::Next::NeedMore:
             return true;
-          case net::FrameResult::Bad:
+          case net::FramedConn::Next::BadFrame:
             warn("psirouter: dropping client ", conn.id,
                  " (oversized or empty frame)");
             return false;
-          case net::FrameResult::Frame:
-            break;
-        }
-        std::string derror;
-        std::optional<net::Message> msg =
-            net::decode(payload, &derror);
-        if (!msg) {
+          case net::FramedConn::Next::BadPayload:
             warn("psirouter: dropping client ", conn.id, " (",
                  derror, ")");
             return false;
+          case net::FramedConn::Next::Message:
+            break;
         }
-        if (!handleClientMessage(conn, std::move(*msg)))
+        if (!handleClientMessage(conn, std::move(msg)))
             return false;
     }
 }
@@ -620,54 +495,38 @@ PsiRouter::handleClientMessage(Conn &conn, net::Message &&msg)
         return true;
     }
     if (auto *hello = std::get_if<net::HelloMsg>(&msg)) {
-        if (hello->versionMajor == 1 ||
-            hello->versionMajor == net::kProtocolMajor) {
-            net::HelloAckMsg ack;
-            ack.versionMajor = net::kProtocolMajor;
-            ack.versionMinor = net::kProtocolMinor;
-            // The router answers with kFeatureRouting on top of the
-            // plain-server feature set: a client that offered the
-            // bit can tell a router from a backend by the ack.
-            ack.features = hello->features &
-                           (net::kSupportedFeatures |
-                            net::kFeatureRouting);
-            queueReply(conn, net::Message(std::move(ack)));
-            return flushConn(conn);
-        }
-        net::ErrorMsg err;
-        err.code = net::kErrUnsupportedVersion;
-        err.message =
-            "unsupported protocol major " +
-            std::to_string(hello->versionMajor) +
-            "; router speaks " +
-            std::to_string(net::kProtocolMajor) +
-            " (and accepts 1)";
-        queueReply(conn, net::Message(std::move(err)));
-        flushConn(conn);
-        return false;
+        // The router answers with kFeatureRouting on top of the
+        // plain-server feature set: a client that offered the bit
+        // can tell a router from a backend by the ack.
+        net::Message reply = net::answerHello(
+            *hello, net::kSupportedFeatures | net::kFeatureRouting,
+            "router");
+        queueReply(conn, reply);
+        bool ok = conn.flush();
+        return ok && std::holds_alternative<net::HelloAckMsg>(reply);
     }
     if (std::get_if<net::StatsMsg>(&msg) != nullptr) {
         net::StatsReplyMsg reply;
-        reply.json = metrics().json(nsSince(_started));
+        reply.json = metrics().json(net::nsSince(_started));
         queueReply(conn, net::Message(std::move(reply)));
-        return flushConn(conn);
+        return conn.flush();
     }
     if (std::get_if<net::MetricsMsg>(&msg) != nullptr) {
         net::MetricsReplyMsg reply;
-        reply.text = metrics().prometheus(nsSince(_started));
+        reply.text = metrics().prometheus(net::nsSince(_started));
         queueReply(conn, net::Message(std::move(reply)));
-        return flushConn(conn);
+        return conn.flush();
     }
     if (std::get_if<net::TraceMsg>(&msg) != nullptr) {
         net::TraceReplyMsg reply;
         reply.json = trace::chromeJson(trace::collect());
         queueReply(conn, net::Message(std::move(reply)));
-        return flushConn(conn);
+        return conn.flush();
     }
     if (std::get_if<net::DrainMsg>(&msg) != nullptr) {
         requestDrain();
         queueReply(conn, net::Message(net::DrainAckMsg{}));
-        return flushConn(conn);
+        return conn.flush();
     }
     warn("psirouter: dropping client ", conn.id,
          " (unexpected message type ",
@@ -684,7 +543,7 @@ PsiRouter::handleSubmit(Conn &conn, net::SubmitMsg &&msg)
         reply.status = status;
         reply.error = std::move(why);
         queueReply(conn, net::Message(std::move(reply)));
-        flushConn(conn);
+        conn.flush();
     };
 
     if (_drain.load(std::memory_order_acquire)) {
@@ -784,8 +643,8 @@ PsiRouter::forwardToBackend(std::uint32_t target, Pending &&pending)
         fwd.mode(pending.mode);
     _pending.emplace(routerTag, std::move(pending));
 
-    queueToBackend(backend, net::Message(std::move(fwd).build()));
-    if (!flushBackend(backend))
+    backend.conn.queue(net::Message(std::move(fwd).build()));
+    if (!backend.conn.flush())
         eject(backend, "send failed");
 }
 
@@ -800,7 +659,7 @@ PsiRouter::respondToClient(const Pending &pending,
     }
     msg.tag = pending.clientTag;
     queueReply(it->second, net::Message(std::move(msg)));
-    if (!flushConn(it->second))
+    if (!it->second.flush())
         _closing.push_back(pending.clientConnId);
 }
 
@@ -817,49 +676,11 @@ PsiRouter::refuseClient(const Pending &pending,
 void
 PsiRouter::queueReply(Conn &conn, const net::Message &msg)
 {
-    conn.wbuf.append(net::encode(msg));
-    if (conn.wbuf.size() - conn.woff > _config.maxWriteBuffer) {
+    if (!conn.queue(msg, _config.maxWriteBuffer)) {
         warn("psirouter: dropping slow consumer connection ",
              conn.id);
         _closing.push_back(conn.id);
     }
-}
-
-bool
-PsiRouter::flushConn(Conn &conn)
-{
-    while (conn.woff < conn.wbuf.size()) {
-        ssize_t n = ::send(conn.fd, conn.wbuf.data() + conn.woff,
-                           conn.wbuf.size() - conn.woff,
-                           MSG_NOSIGNAL);
-        if (n > 0) {
-            conn.woff += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
-        return false;
-    }
-    if (conn.woff == conn.wbuf.size()) {
-        conn.wbuf.clear();
-        conn.woff = 0;
-    } else if (conn.woff > (1u << 20)) {
-        conn.wbuf.erase(0, conn.woff);
-        conn.woff = 0;
-    }
-    return true;
-}
-
-void
-PsiRouter::closeConn(std::uint64_t id)
-{
-    auto it = _conns.find(id);
-    if (it == _conns.end())
-        return;
-    closeFd(it->second.fd);
-    _conns.erase(it);
 }
 
 // --------------------------------------------------------------------
@@ -879,7 +700,7 @@ PsiRouter::serviceBackendTimers()
           case BState::Connecting:
             if (nsBetween(backend.connectStartAt, now) >
                 _config.connectTimeoutNs) {
-                closeFd(backend.fd);
+                backend.conn.reset();
                 scheduleRedial(backend);
             }
             break;
@@ -897,17 +718,15 @@ PsiRouter::serviceBackendTimers()
                     // answer) keeps the consecutive count moving.
                     backend.probeOutstanding = true;
                     backend.probeSentAt = now;
-                    queueToBackend(backend,
-                                   net::Message(net::StatsMsg{}));
-                    if (!flushBackend(backend))
+                    backend.conn.queue(net::Message(net::StatsMsg{}));
+                    if (!backend.conn.flush())
                         eject(backend, "probe send failed");
                 }
             } else if (now >= backend.nextProbeAt) {
                 backend.probeOutstanding = true;
                 backend.probeSentAt = now;
-                queueToBackend(backend,
-                               net::Message(net::StatsMsg{}));
-                if (!flushBackend(backend))
+                backend.conn.queue(net::Message(net::StatsMsg{}));
+                if (!backend.conn.flush())
                     eject(backend, "probe send failed");
             }
             break;
@@ -923,13 +742,12 @@ PsiRouter::startConnect(Backend &backend)
         scheduleRedial(backend);
         return;
     }
-    if (!setNonBlocking(fd)) {
-        ::close(fd);
+    backend.conn.reset(fd);
+    if (!net::prepareStream(fd)) {
+        backend.conn.reset();
         scheduleRedial(backend);
         return;
     }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -938,12 +756,11 @@ PsiRouter::startConnect(Backend &backend)
                     &addr.sin_addr) != 1) {
         warn("psirouter: bad backend address '", backend.addr.host,
              "'");
-        ::close(fd);
+        backend.conn.reset();
         scheduleRedial(backend);
         return;
     }
 
-    backend.fd = fd;
     int rc = ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                        sizeof(addr));
     if (rc == 0) {
@@ -956,7 +773,7 @@ PsiRouter::startConnect(Backend &backend)
         backend.connectStartAt = Clock::now();
         return;
     }
-    closeFd(backend.fd);
+    backend.conn.reset();
     scheduleRedial(backend);
 }
 
@@ -965,10 +782,10 @@ PsiRouter::finishConnect(Backend &backend)
 {
     int err = 0;
     socklen_t len = sizeof(err);
-    if (::getsockopt(backend.fd, SOL_SOCKET, SO_ERROR, &err,
+    if (::getsockopt(backend.conn.fd(), SOL_SOCKET, SO_ERROR, &err,
                      &len) != 0 ||
         err != 0) {
-        closeFd(backend.fd);
+        backend.conn.reset();
         scheduleRedial(backend);
         return false;
     }
@@ -983,9 +800,6 @@ PsiRouter::onBackendConnected(Backend &backend)
                         std::memory_order_release);
     backend.failures = 0;
     backend.probeOutstanding = false;
-    backend.rbuf.clear();
-    backend.wbuf.clear();
-    backend.woff = 0;
     backend.backoff.reset();
     backend.everAdmitted = true;
     backend.nextProbeAt =
@@ -1004,54 +818,35 @@ PsiRouter::onBackendConnected(Backend &backend)
     hello.versionMinor = net::kProtocolMinor;
     hello.features = net::kSupportedFeatures |
                      net::kFeatureRouting;
-    queueToBackend(backend, net::Message(std::move(hello)));
-    if (!flushBackend(backend))
+    backend.conn.queue(net::Message(std::move(hello)));
+    if (!backend.conn.flush())
         eject(backend, "hello send failed");
 }
 
 bool
 PsiRouter::handleBackendReadable(Backend &backend)
 {
-    char chunk[64 * 1024];
-    for (;;) {
-        ssize_t n = ::recv(backend.fd, chunk, sizeof(chunk), 0);
-        if (n > 0) {
-            backend.rbuf.append(chunk,
-                                static_cast<std::size_t>(n));
-            if (n < static_cast<ssize_t>(sizeof(chunk)))
-                break;
-            continue;
-        }
-        if (n == 0)
-            return false; // backend closed
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
-        return false;
-    }
+    if (!backend.conn.readAvailable())
+        return false; // backend closed
 
-    std::string payload;
+    net::Message msg;
+    std::string derror;
     for (;;) {
-        switch (net::extractFrame(backend.rbuf, payload)) {
-          case net::FrameResult::NeedMore:
+        switch (backend.conn.next(msg, derror)) {
+          case net::FramedConn::Next::NeedMore:
             return true;
-          case net::FrameResult::Bad:
+          case net::FramedConn::Next::BadFrame:
             warn("psirouter: backend ", backend.addr.str(),
                  " sent an oversized or empty frame");
             return false;
-          case net::FrameResult::Frame:
-            break;
-        }
-        std::string derror;
-        std::optional<net::Message> msg =
-            net::decode(payload, &derror);
-        if (!msg) {
+          case net::FramedConn::Next::BadPayload:
             warn("psirouter: backend ", backend.addr.str(), ": ",
                  derror);
             return false;
+          case net::FramedConn::Next::Message:
+            break;
         }
-        if (!handleBackendMessage(backend, std::move(*msg)))
+        if (!handleBackendMessage(backend, std::move(msg)))
             return false;
     }
 }
@@ -1140,10 +935,7 @@ PsiRouter::eject(Backend &backend, const std::string &why)
          why, "), ", backend.outstanding.size(),
          " requests to fail over");
     _ring.remove(backend.index);
-    closeFd(backend.fd);
-    backend.rbuf.clear();
-    backend.wbuf.clear();
-    backend.woff = 0;
+    backend.conn.reset();
     backend.probeOutstanding = false;
     backend.failures = 0;
     scheduleRedial(backend);
@@ -1204,39 +996,6 @@ PsiRouter::failover(Pending &&pending)
 }
 
 void
-PsiRouter::queueToBackend(Backend &backend, const net::Message &msg)
-{
-    backend.wbuf.append(net::encode(msg));
-}
-
-bool
-PsiRouter::flushBackend(Backend &backend)
-{
-    if (backend.fd < 0)
-        return false;
-    while (backend.woff < backend.wbuf.size()) {
-        ssize_t n =
-            ::send(backend.fd, backend.wbuf.data() + backend.woff,
-                   backend.wbuf.size() - backend.woff,
-                   MSG_NOSIGNAL);
-        if (n > 0) {
-            backend.woff += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        if (errno == EINTR)
-            continue;
-        return false;
-    }
-    if (backend.woff == backend.wbuf.size()) {
-        backend.wbuf.clear();
-        backend.woff = 0;
-    }
-    return true;
-}
-
-void
 PsiRouter::scheduleRedial(Backend &backend)
 {
     backend.state.store(BState::Ejected,
@@ -1244,14 +1003,6 @@ PsiRouter::scheduleRedial(Backend &backend)
     backend.nextProbeAt =
         Clock::now() +
         std::chrono::nanoseconds(backend.backoff.nextDelayNs());
-}
-
-void
-PsiRouter::drainWakePipe()
-{
-    char buf[256];
-    while (::read(_wakeRead, buf, sizeof(buf)) > 0) {
-    }
 }
 
 RouterMetrics

@@ -65,6 +65,7 @@
 
 #include "base/backoff.hpp"
 #include "base/table.hpp"
+#include "net/conn.hpp"
 #include "net/wire.hpp"
 #include "router/hash_ring.hpp"
 
@@ -169,7 +170,7 @@ class PsiRouter
     bool start(std::string *error = nullptr);
 
     /** Actual listening port (after an ephemeral bind). */
-    std::uint16_t port() const { return _port; }
+    std::uint16_t port() const { return _listener.port(); }
 
     /** Event loop; returns after a drain completes. */
     void run();
@@ -205,10 +206,8 @@ class PsiRouter
         BackendAddr addr;
         std::uint32_t index = 0;
         std::atomic<BState> state{BState::Ejected};
-        int fd = -1;
-        std::string rbuf;
-        std::string wbuf;
-        std::size_t woff = 0;
+        /** The backend leg; open while Connecting or Admitted. */
+        net::FramedConn conn;
         /** Router tags forwarded here, RESULT not yet seen. */
         std::set<std::uint64_t> outstanding;
         unsigned failures = 0;        ///< consecutive probe failures
@@ -229,13 +228,9 @@ class PsiRouter
         /// @}
     };
 
-    struct Conn
+    struct Conn : net::FramedConn
     {
-        int fd = -1;
         std::uint64_t id = 0;
-        std::string rbuf;
-        std::string wbuf;
-        std::size_t woff = 0;
     };
 
     /** One client request in flight toward some backend. */
@@ -267,9 +262,8 @@ class PsiRouter
     void respondToClient(const Pending &pending, net::ResultMsg msg);
     void refuseClient(const Pending &pending, net::WireStatus status,
                       std::string why);
+    /** Queue @p msg; a slow consumer is dropped (maxWriteBuffer). */
     void queueReply(Conn &conn, const net::Message &msg);
-    bool flushConn(Conn &conn);
-    void closeConn(std::uint64_t id);
 
     void serviceBackendTimers();
     void startConnect(Backend &backend);
@@ -283,11 +277,8 @@ class PsiRouter
     /** Resubmit one orphaned pending request to the ring successor
      *  (or refuse it when the ring is exhausted/empty). */
     void failover(Pending &&pending);
-    void queueToBackend(Backend &backend, const net::Message &msg);
-    bool flushBackend(Backend &backend);
     void scheduleRedial(Backend &backend);
 
-    void drainWakePipe();
     bool drainComplete() const;
     int pollTimeoutMs() const;
 
@@ -303,10 +294,8 @@ class PsiRouter
     }
 
     Config _config;
-    int _listenFd = -1;
-    int _wakeRead = -1;
-    int _wakeWrite = -1;
-    std::uint16_t _port = 0;
+    net::Listener _listener;
+    net::WakePipe _wake;
     std::uint64_t _nextConnId = 1;
     std::uint64_t _nextRouterTag = 1;
     std::map<std::uint64_t, Conn> _conns;

@@ -1,8 +1,5 @@
 #include "system.hpp"
 
-#include "base/logging.hpp"
-#include "service/engine_pool.hpp"
-
 namespace psi {
 
 PsiRun
@@ -43,40 +40,6 @@ runOnBaseline(const programs::BenchProgram &program,
     baseline::WamEngine engine;
     engine.consult(program.source);
     return engine.solve(program.query, limits);
-}
-
-std::vector<PsiRun>
-runBatchOnPsi(const std::vector<programs::BenchProgram> &programs,
-              const CacheConfig &cache, const interp::RunLimits &limits,
-              unsigned workers)
-{
-    service::EnginePool::Config config;
-    config.workers = workers;
-    config.queueCapacity = programs.empty() ? 1 : programs.size();
-    service::EnginePool pool(config);
-
-    std::vector<std::future<service::JobOutcome>> futures;
-    futures.reserve(programs.size());
-    for (const auto &p : programs) {
-        auto fut = pool.submit(
-            service::QueryJob{p, cache, limits});
-        PSI_ASSERT(fut.has_value(),
-                   "blocking submit refused by a live pool");
-        futures.push_back(std::move(*fut));
-    }
-
-    std::vector<PsiRun> runs;
-    runs.reserve(programs.size());
-    std::string firstError;
-    for (auto &fut : futures) {
-        service::JobOutcome out = fut.get();
-        if (!out.ok() && firstError.empty())
-            firstError = out.id + ": " + out.error;
-        runs.push_back(std::move(out.run));
-    }
-    if (!firstError.empty())
-        fatal("batch job failed - ", firstError);
-    return runs;
 }
 
 } // namespace psi

@@ -56,23 +56,6 @@ interp::RunResult
 runOnBaseline(const programs::BenchProgram &program,
               const interp::RunLimits &limits = interp::RunLimits());
 
-/**
- * Run a batch of programs through a service::EnginePool of
- * @p workers threads and return the per-program runs in input
- * order.  Results are identical to calling runOnPsi() on each
- * program sequentially (every worker keeps a private warm engine
- * whose load() path replays a fresh machine exactly); only
- * wall-clock time changes with @p workers.
- *
- * An engine error on any job raises FatalError after the whole
- * batch has drained, matching the sequential helper's behavior.
- */
-std::vector<PsiRun>
-runBatchOnPsi(const std::vector<programs::BenchProgram> &programs,
-              const CacheConfig &cache = CacheConfig::psi(),
-              const interp::RunLimits &limits = interp::RunLimits(),
-              unsigned workers = 4);
-
 } // namespace psi
 
 #endif // PSI_SYSTEM_HPP

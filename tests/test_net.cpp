@@ -32,10 +32,13 @@
 #include <vector>
 
 #include "psi.hpp"
+#include "raw_conn.hpp"
 
 namespace {
 
 using namespace psi;
+using psi::tests::oversizedPrefix;
+using psi::tests::RawConn;
 using net::DrainAckMsg;
 using net::DrainMsg;
 using net::FrameResult;
@@ -584,6 +587,40 @@ TEST(Loopback, UnknownWorkloadIsActionable)
               std::string::npos);
     EXPECT_NE(result->error.find("available"), std::string::npos);
     EXPECT_NE(result->error.find("nreverse30"), std::string::npos);
+}
+
+/** A framing error and a body the decoder rejects each cost only
+ *  their own connection, and each is counted under its own name. */
+TEST(Loopback, BadFrameAndBadPayloadDropOnlyThatConnection)
+{
+    ServerHarness harness(serverConfig(1, 4));
+
+    RawConn oversized(harness.port());
+    ASSERT_TRUE(oversized.sendAll(oversizedPrefix()));
+    // One well-framed payload byte: a message type nothing has.
+    RawConn unknownType(harness.port());
+    ASSERT_TRUE(
+        unknownType.sendAll(std::string("\0\0\0\x01\x63", 5)));
+
+    bool eof = false;
+    EXPECT_FALSE(oversized.readMessage(&eof).has_value());
+    EXPECT_TRUE(eof) << "oversized frame did not close its connection";
+    EXPECT_FALSE(unknownType.readMessage(&eof).has_value());
+    EXPECT_TRUE(eof) << "unknown type did not close its connection";
+
+    net::PsiClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect("127.0.0.1", harness.port(), &error))
+        << error;
+    auto result =
+        client.submit(net::Request{"nreverse30"}, nullptr, &error);
+    ASSERT_TRUE(result.has_value()) << error;
+    EXPECT_EQ(result->status, WireStatus::Ok);
+
+    auto snap = harness.server.metrics();
+    EXPECT_EQ(snap.netBadFrames, 1u);
+    EXPECT_EQ(snap.netDecodeErrors, 1u);
+    EXPECT_EQ(snap.netConnsDropped, 2u);
 }
 
 TEST(Loopback, StatsReplyCarriesServiceMetricsJson)

@@ -37,10 +37,12 @@
 #include <vector>
 
 #include "psi.hpp"
+#include "raw_conn.hpp"
 
 namespace {
 
 using namespace psi;
+using psi::tests::RawConn;
 using router::BackendAddr;
 using router::HashRing;
 using router::PsiRouter;
@@ -501,6 +503,47 @@ TEST(Router, UnknownWorkloadRefusedAtTheRouter)
     EXPECT_NE(result->error.find("available"), std::string::npos);
     // Refused locally: nothing was forwarded to the backend.
     EXPECT_EQ(router.router.metrics().backends[0].routed, 0u);
+}
+
+/** A refused HELLO and a bad frame cost the router only that
+ *  client: the ERROR arrives before the close, and a well-behaved
+ *  client on another connection is still routed. */
+TEST(Router, UnsupportedMajorAndBadFrameDropOnlyThatClient)
+{
+    BackendHarness backend;
+    RouterHarness router(routerConfig({backend.port()}));
+    router.waitForAdmission(1);
+
+    RawConn hello(router.port());
+    net::HelloMsg bad;
+    bad.versionMajor = 99;
+    ASSERT_TRUE(hello.sendAll(net::encode(net::Message(bad))));
+    bool eof = false;
+    auto reply = hello.readMessage(&eof);
+    ASSERT_TRUE(reply.has_value()) << "no ERROR before close";
+    ASSERT_TRUE(std::holds_alternative<net::ErrorMsg>(*reply));
+    const auto &err = std::get<net::ErrorMsg>(*reply);
+    EXPECT_EQ(err.code, net::kErrUnsupportedVersion);
+    EXPECT_NE(err.message.find("unsupported protocol major 99; "
+                               "router speaks"),
+              std::string::npos)
+        << err.message;
+    EXPECT_FALSE(hello.readMessage(&eof).has_value());
+    EXPECT_TRUE(eof) << "router kept a refused client open";
+
+    RawConn oversized(router.port());
+    ASSERT_TRUE(oversized.sendAll(psi::tests::oversizedPrefix()));
+    EXPECT_FALSE(oversized.readMessage(&eof).has_value());
+    EXPECT_TRUE(eof) << "router kept an oversized-frame client open";
+
+    net::PsiClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect("127.0.0.1", router.port(), &error))
+        << error;
+    auto result =
+        client.submit(net::Request{"nreverse30"}, nullptr, &error);
+    ASSERT_TRUE(result.has_value()) << error;
+    EXPECT_EQ(result->status, net::WireStatus::Ok);
 }
 
 TEST(Router, StatsAndMetricsExposePerBackendCounters)

@@ -16,6 +16,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -180,9 +181,24 @@ TEST(EnginePool, BatchMatchesSequentialOnFullRegistry)
     for (const auto &p : programs)
         sequential.push_back(runOnPsi(p));
 
-    std::vector<PsiRun> pooled =
-        runBatchOnPsi(programs, CacheConfig::psi(),
-                      interp::RunLimits(), 4);
+    // Four workers, and room in the queue for the whole batch.
+    EnginePool::Config config;
+    config.workers = 4;
+    config.queueCapacity = programs.size();
+    EnginePool pool(config);
+    std::vector<std::future<JobOutcome>> futures;
+    for (const auto &p : programs) {
+        auto fut = pool.submit(
+            QueryJob{p, CacheConfig::psi(), interp::RunLimits()});
+        ASSERT_TRUE(fut.has_value()) << p.id;
+        futures.push_back(std::move(*fut));
+    }
+    std::vector<PsiRun> pooled;
+    for (auto &fut : futures) {
+        JobOutcome out = fut.get();
+        ASSERT_TRUE(out.ok()) << out.id << ": " << out.error;
+        pooled.push_back(std::move(out.run));
+    }
 
     ASSERT_EQ(pooled.size(), sequential.size());
     for (std::size_t i = 0; i < programs.size(); ++i) {

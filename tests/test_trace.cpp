@@ -25,12 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <map>
 #include <set>
@@ -40,6 +34,7 @@
 
 #include "fuzz_util.hpp"
 #include "psi.hpp"
+#include "raw_conn.hpp"
 
 namespace {
 
@@ -50,6 +45,7 @@ using net::HelloMsg;
 using net::Message;
 using net::WireStatus;
 using psi::tests::FrameMutator;
+using psi::tests::RawConn;
 
 /** Reset spans on entry; restore the disabled default on exit. */
 struct TraceGuard
@@ -249,74 +245,6 @@ TEST(Hello, NegotiatesVersionAndFeatureIntersection)
     ASSERT_TRUE(result.has_value()) << error;
     EXPECT_EQ(result->status, WireStatus::Ok);
 }
-
-/** Raw loopback socket with a receive timeout, for hostile HELLOs. */
-struct RawConn
-{
-    int fd = -1;
-
-    explicit RawConn(std::uint16_t port, timeval tv = {5, 0})
-    {
-        fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        EXPECT_GE(fd, 0);
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port);
-        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-        EXPECT_EQ(::connect(fd,
-                            reinterpret_cast<sockaddr *>(&addr),
-                            sizeof(addr)),
-                  0);
-    }
-
-    ~RawConn()
-    {
-        if (fd >= 0)
-            ::close(fd);
-    }
-
-    bool
-    sendAll(const std::string &bytes)
-    {
-        std::size_t off = 0;
-        while (off < bytes.size()) {
-            ssize_t n = ::send(fd, bytes.data() + off,
-                               bytes.size() - off, MSG_NOSIGNAL);
-            if (n <= 0)
-                return false;
-            off += static_cast<std::size_t>(n);
-        }
-        return true;
-    }
-
-    /**
-     * Read until one frame decodes, EOF, or the receive timeout.
-     * @return the decoded message, or nullopt on EOF/timeout/garbage
-     *         with @p eof telling the two apart.
-     */
-    std::optional<Message>
-    readMessage(bool *eof)
-    {
-        *eof = false;
-        std::string buffer, payload;
-        char chunk[4096];
-        for (;;) {
-            net::FrameResult r =
-                net::extractFrame(buffer, payload);
-            if (r == net::FrameResult::Frame)
-                return net::decode(payload);
-            if (r == net::FrameResult::Bad)
-                return std::nullopt;
-            ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-            if (n == 0)
-                *eof = true;
-            if (n <= 0)
-                return std::nullopt;
-            buffer.append(chunk, static_cast<std::size_t>(n));
-        }
-    }
-};
 
 TEST(Hello, UnsupportedMajorGetsStructuredErrorAndClose)
 {
