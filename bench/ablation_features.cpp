@@ -32,9 +32,8 @@ double
 runWith(const programs::BenchProgram &p, const interp::FirmwareOptions &fw,
         bool indexed = false)
 {
-    kl0::CompileOptions code;
+    kl0::CompileOptions code = kl0::CompileOptions::psiAsMeasured();
     code.firstArgIndexing = indexed;
-    code.specializeBuiltins = false;
     interp::Engine eng(CacheConfig::psi(), fw);
     eng.setCompileOptions(code);
     eng.consult(p.source);

@@ -1,11 +1,8 @@
 /**
  * @file
- * Shared helpers for the bench binaries.
- *
- * Every bench regenerates one table or figure of the paper: it runs
- * the workloads through the public API, prints the measured values in
- * the paper's row/column layout, and prints the paper's reference
- * numbers beside them so the shape comparison is immediate.
+ * Shared helpers for the bench binaries.  The paper's own tables
+ * come from tools/paper_tables (bench/paper_tables); the rest of
+ * bench/ measures the reproduction's extensions.
  */
 
 #ifndef PSI_BENCH_BENCH_UTIL_HPP

@@ -103,9 +103,8 @@ main(int argc, char **argv)
 
     const char *ids[] = {"polyop", "setclash", "nreverse30"};
 
-    kl0::CompileOptions plain;
-    plain.firstArgIndexing = false;
-    plain.specializeBuiltins = false;
+    const kl0::CompileOptions plain =
+        kl0::CompileOptions::psiAsMeasured();
 
     Table t("First-argument indexing: model time (fidelity, "
             "deterministic) and wall time (fast, best of " +

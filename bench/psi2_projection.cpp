@@ -30,9 +30,8 @@ double
 runMs(const programs::BenchProgram &p, const CacheConfig &cache,
       bool indexed)
 {
-    kl0::CompileOptions code;
+    kl0::CompileOptions code = kl0::CompileOptions::psiAsMeasured();
     code.firstArgIndexing = indexed;
-    code.specializeBuiltins = false;
     interp::Engine eng(cache);
     eng.setCompileOptions(code);
     eng.consult(p.source);

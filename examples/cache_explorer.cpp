@@ -2,7 +2,8 @@
  * @file
  * Cache design-space exploration, the PMMS workflow of the paper's
  * §4.2: record one memory trace, then replay it through alternative
- * cache designs without re-running the program.
+ * cache designs without re-running the program.  The trace is of the
+ * PSI as measured (no first-argument index, no specialized builtins).
  *
  *     $ ./examples/cache_explorer [workload-id]
  *
@@ -30,6 +31,7 @@ main(int argc, char **argv)
 
     // Record the trace once (COLLECT).
     interp::Engine machine;
+    machine.setCompileOptions(kl0::CompileOptions::psiAsMeasured());
     machine.consult(prog.source);
     tools::Collector collector;
     auto r = tools::collectRun(machine, collector, prog.query);

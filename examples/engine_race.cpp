@@ -3,7 +3,8 @@
  * Race the two execution models on any workload or ad-hoc program:
  * the microcoded PSI interpreter against the DEC-10-style compiled
  * baseline, reporting the Table 1 style comparison plus the
- * per-engine event profiles.
+ * per-engine event profiles.  The PSI runs the code the paper
+ * measured (no first-argument index, no specialized builtins).
  *
  *     $ ./examples/engine_race                 # the full registry
  *     $ ./examples/engine_race queens1 bup3    # selected workloads
@@ -20,7 +21,12 @@ race(const psi::programs::BenchProgram &p)
 {
     using namespace psi;
 
-    PsiRun psi_run = runOnPsi(p);
+    interp::Engine engine;
+    PsiRun psi_run = runCompiledOnPsi(
+        engine,
+        kl0::CompiledProgram::compile(p.source,
+                                      kl0::CompileOptions::psiAsMeasured()),
+        p.query);
     interp::RunResult dec = runOnBaseline(p);
 
     double psi_ms = static_cast<double>(psi_run.result.timeNs) / 1e6;

@@ -4,7 +4,8 @@
  * dynamic-frequency measurements the paper's evaluation is built
  * from (firmware module mix, cache commands, area traffic, hit
  * ratios, work-file modes, branch operations), generated with the
- * COLLECT + MAP tool chain.
+ * COLLECT + MAP tool chain on the PSI as measured (no first-argument
+ * index, no specialized builtins).
  *
  *     $ ./examples/microarch_report [workload-id]
  */
@@ -31,6 +32,7 @@ main(int argc, char **argv)
     const auto &prog = *found;
 
     interp::Engine machine;
+    machine.setCompileOptions(kl0::CompileOptions::psiAsMeasured());
     machine.consult(prog.source);
     tools::Collector collector;
     auto r = tools::collectRun(machine, collector, prog.query);

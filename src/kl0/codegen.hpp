@@ -138,6 +138,14 @@ struct CompileOptions
      *  instead of the generic CallBuiltin dispatch. */
     bool specializeBuiltins = true;
 
+    /** The PSI as the paper measured it: its compiler emitted
+     *  neither, so every paper table compiles with these. */
+    static constexpr CompileOptions
+    psiAsMeasured()
+    {
+        return {.firstArgIndexing = false, .specializeBuiltins = false};
+    }
+
     bool operator==(const CompileOptions &) const = default;
 };
 

@@ -111,17 +111,5 @@ table1Programs()
     return out;
 }
 
-std::vector<BenchProgram>
-cachePrograms()
-{
-    // Tables 3-5 order: window-1..3, 8 puzzle, BUP, harmonizer, LCP.
-    return {
-        programById("window1"),   programById("window2"),
-        programById("window3"),   programById("puzzle8"),
-        programById("bup3"),      programById("harmonizer2"),
-        programById("lcp3"),
-    };
-}
-
 } // namespace programs
 } // namespace psi

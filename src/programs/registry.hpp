@@ -84,9 +84,6 @@ const char *librarySource();
 /** The Table 1 rows, in paper order. */
 std::vector<BenchProgram> table1Programs();
 
-/** The seven programs of Tables 3-5, in paper order. */
-std::vector<BenchProgram> cachePrograms();
-
 } // namespace programs
 } // namespace psi
 

@@ -5,6 +5,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
@@ -801,7 +802,6 @@ PsiRouter::onBackendConnected(Backend &backend)
     backend.failures = 0;
     backend.probeOutstanding = false;
     backend.backoff.reset();
-    backend.everAdmitted = true;
     backend.nextProbeAt =
         Clock::now() +
         std::chrono::nanoseconds(_config.probeIntervalNs);
@@ -880,19 +880,8 @@ PsiRouter::handleBackendMessage(Backend &backend,
                                        std::memory_order_relaxed);
             // Try the remaining ring members once each before the
             // refusal reaches the client.
-            std::vector<std::uint32_t> pref =
-                _ring.preference(pending.key, _ring.size());
-            for (std::uint32_t candidate : pref) {
-                bool tried = false;
-                for (std::uint32_t t : pending.tried)
-                    tried = tried || t == candidate;
-                if (tried)
-                    continue;
-                pending.isRetry = true;
-                forwardToBackend(candidate, std::move(pending));
-                return true;
-            }
-            respondToClient(pending, std::move(*result));
+            if (!retryUntried(pending))
+                respondToClient(pending, std::move(*result));
             return true;
         }
 
@@ -969,30 +958,36 @@ PsiRouter::failover(Pending &&pending)
     // Ring successor: the preference list starts at the key's owner
     // on the *current* (post-ejection) ring, so the first member we
     // have not tried yet is the natural failover target.
-    std::vector<std::uint32_t> pref =
-        _ring.preference(pending.key, _ring.size());
-    for (std::uint32_t candidate : pref) {
-        bool tried = false;
-        for (std::uint32_t t : pending.tried)
-            tried = tried || t == candidate;
-        if (tried)
-            continue;
-        pending.isRetry = true;
-        forwardToBackend(candidate, std::move(pending));
+    if (retryUntried(pending))
         return;
-    }
     // Every admitted backend was tried (or the ring is empty): allow
     // a full second lap before giving up only if membership changed;
     // otherwise refuse so the client's own submitRetry takes over.
-    if (!pref.empty() && pending.tried.size() < 2 * _backends.size()) {
+    auto owner = _ring.owner(pending.key);
+    if (owner && pending.tried.size() < 2 * _backends.size()) {
         pending.isRetry = true;
         pending.tried.clear();
-        forwardToBackend(pref.front(), std::move(pending));
+        forwardToBackend(*owner, std::move(pending));
         return;
     }
     _noBackend.fetch_add(1, std::memory_order_relaxed);
     refuseClient(pending, net::WireStatus::Overloaded,
                  "no backend available after failover; retry later");
+}
+
+bool
+PsiRouter::retryUntried(Pending &pending)
+{
+    for (std::uint32_t candidate :
+         _ring.preference(pending.key, _ring.size())) {
+        if (std::find(pending.tried.begin(), pending.tried.end(),
+                      candidate) != pending.tried.end())
+            continue;
+        pending.isRetry = true;
+        forwardToBackend(candidate, std::move(pending));
+        return true;
+    }
+    return false;
 }
 
 void

@@ -216,7 +216,6 @@ class PsiRouter
         Clock::time_point nextProbeAt{};  ///< next probe / redial
         Clock::time_point connectStartAt{};
         Backoff backoff;
-        bool everAdmitted = false;
 
         /** @name Counters (loop thread writes, metrics() reads) */
         /// @{
@@ -277,6 +276,10 @@ class PsiRouter
     /** Resubmit one orphaned pending request to the ring successor
      *  (or refuse it when the ring is exhausted/empty). */
     void failover(Pending &&pending);
+    /** Forward @p pending, as a retry, to the first member of its
+     *  key's preference list it has not tried yet.  False, leaving
+     *  @p pending untouched, when every ring member was tried. */
+    bool retryUntried(Pending &pending);
     void scheduleRedial(Backend &backend);
 
     bool drainComplete() const;

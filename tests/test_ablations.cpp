@@ -17,20 +17,14 @@ namespace {
 
 /** The measured PSI's code: no first-argument index, no specialized
  *  builtins. */
-kl0::CompileOptions
-unindexed()
-{
-    kl0::CompileOptions o;
-    o.firstArgIndexing = false;
-    o.specializeBuiltins = false;
-    return o;
-}
+constexpr kl0::CompileOptions kUnindexed =
+    kl0::CompileOptions::psiAsMeasured();
 
 /** The same code plus the compiled first-argument index. */
 kl0::CompileOptions
 indexed()
 {
-    kl0::CompileOptions o = unindexed();
+    kl0::CompileOptions o = kUnindexed;
     o.firstArgIndexing = true;
     return o;
 }
@@ -81,9 +75,9 @@ variants()
     all_off.writeStackCommand = false;
     all_off.trailBuffer = false;
     all_off.frameBuffers = false;
-    return {{no_ws, unindexed()},
-            {no_tb, unindexed()},
-            {no_fb, unindexed()},
+    return {{no_ws, kUnindexed},
+            {no_tb, kUnindexed},
+            {no_fb, kUnindexed},
             {FirmwareOptions(), indexed()},
             {all_off, indexed()}};
 }
@@ -112,7 +106,7 @@ TEST(Ablations, AllVariantsPreserveSemantics)
     };
     for (const char *q : queries) {
         auto expect =
-            solutionsWith(FirmwareOptions(), unindexed(), kProg, q);
+            solutionsWith(FirmwareOptions(), kUnindexed, kProg, q);
         int vi = 0;
         for (const auto &v : variants()) {
             EXPECT_EQ(solutionsWith(v.fw, v.code, kProg, q), expect)
@@ -127,7 +121,7 @@ TEST(Ablations, WorkloadsUnchangedUnderIndexing)
     for (const char *id : {"queens1", "bup2", "harmonizer2", "lcp2"}) {
         const auto &p = programs::programById(id);
         Engine a;
-        a.setCompileOptions(unindexed());
+        a.setCompileOptions(kUnindexed);
         a.consult(p.source);
         Engine b;
         b.setCompileOptions(indexed());
@@ -149,7 +143,7 @@ TEST(Ablations, IndexingNeverSlower)
     for (const char *id : {"nreverse30", "bup2", "lcp2"}) {
         const auto &p = programs::programById(id);
         Engine a;
-        a.setCompileOptions(unindexed());
+        a.setCompileOptions(kUnindexed);
         a.consult(p.source);
         Engine b;
         b.setCompileOptions(indexed());

@@ -16,8 +16,7 @@ namespace {
  *  directory words directly, so they compile with first-argument
  *  indexing and builtin specialization off; the psiindex tests at the
  *  end of this file cover the indexed layout explicitly. */
-constexpr CompileOptions kPlain{.firstArgIndexing = false,
-                                .specializeBuiltins = false};
+constexpr CompileOptions kPlain = CompileOptions::psiAsMeasured();
 
 /** Compile @p text and return (mem, syms-owned-elsewhere) helpers. */
 struct Compiled

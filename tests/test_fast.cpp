@@ -318,16 +318,6 @@ TEST(FastEngine, PoolCountsModesSeparately)
 
 // ----- psiindex: first-argument indexing differentials + counters ----
 
-/** Compile options with the psiindex machinery fully off. */
-kl0::CompileOptions
-plainOptions()
-{
-    kl0::CompileOptions o;
-    o.firstArgIndexing = false;
-    o.specializeBuiltins = false;
-    return o;
-}
-
 /** Comma-separated counters; '/' separates the rows of a table. */
 template <std::size_t N>
 std::string
@@ -435,8 +425,8 @@ TEST(FastEngine, ByteIdenticalToFidelityWithIndexingOff)
 
     for (const auto &p : programs::allPrograms()) {
         SCOPED_TRACE(p.id);
-        auto image =
-            kl0::CompiledProgram::compile(p.source, plainOptions());
+        auto image = kl0::CompiledProgram::compile(
+            p.source, kl0::CompileOptions::psiAsMeasured());
 
         interp::Engine eng;
         eng.load(image);
@@ -551,8 +541,8 @@ TEST(FastEngine, PolyopIndexedTriesStrictlyFewerClauses)
 {
     const auto &p = programs::programById("polyop");
     auto indexed = kl0::CompiledProgram::compile(p.source);
-    auto linear =
-        kl0::CompiledProgram::compile(p.source, plainOptions());
+    auto linear = kl0::CompiledProgram::compile(
+        p.source, kl0::CompileOptions::psiAsMeasured());
 
     fast::FastEngine fe;
     fe.load(linear);

@@ -990,8 +990,9 @@ TEST(Chaos, DrainUnderPipelinedLoadGivesEachRequestOneOutcome)
         outcomes.erase(it);
     }
     EXPECT_TRUE(outcomes.empty()) << "unsolicited RESULT tags";
-    if (!died)
+    if (!died) {
         EXPECT_EQ(delivered, kBatch);
+    }
 }
 
 TEST(Loopback, DrainingServerRefusesNewSubmits)

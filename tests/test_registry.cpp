@@ -69,17 +69,6 @@ TEST(RegistryAudit, NonTable1RowsCarryNoPaperTimes)
     }
 }
 
-TEST(RegistryAudit, CacheProgramsAreTheSevenOfTables3To5)
-{
-    const char *kPaperOrder[] = {"window1", "window2",    "window3",
-                                 "puzzle8", "bup3",
-                                 "harmonizer2", "lcp3"};
-    auto rows = programs::cachePrograms();
-    ASSERT_EQ(rows.size(), 7u);
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        EXPECT_EQ(rows[i].id, kPaperOrder[i]) << "row " << i + 1;
-}
-
 TEST(RegistryAudit, EveryIdIsUniqueAndResolvable)
 {
     std::set<std::string> seen;

@@ -466,9 +466,10 @@ TEST(SchedulerUnderReplay, BurstyTwoTenantLogInterleavesFairly)
         ASSERT_TRUE(d.has_value());
         ++popped[log.entries[static_cast<std::size_t>(d->item)]
                      .tenant];
-        if (static_cast<int>(i) < 2 * minority)
+        if (static_cast<int>(i) < 2 * minority) {
             EXPECT_LE(std::abs(popped["t0"] - popped["t1"]), 1)
                 << "after " << i + 1 << " dispatches";
+        }
     }
     EXPECT_EQ(popped, pushed);
 
