@@ -25,6 +25,7 @@
 #include "base/flags.hpp"
 #include "base/json.hpp"
 #include "base/logging.hpp"
+#include "base/metrics.hpp"
 #include "base/stats.hpp"
 #include "base/table.hpp"
 #include "base/trace.hpp"
