@@ -1,8 +1,5 @@
 #include "net/client.hpp"
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,6 +11,7 @@
 
 #include "base/logging.hpp"
 #include "base/trace.hpp"
+#include "net/conn.hpp"
 
 namespace psi {
 namespace net {
@@ -99,47 +97,16 @@ PsiClient::connectOnce(const std::string &host, std::uint16_t port,
                        std::string *error)
 {
     close();
-
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo *result = nullptr;
-    int rc = ::getaddrinfo(host.c_str(),
-                           std::to_string(port).c_str(), &hints,
-                           &result);
-    if (rc != 0) {
-        setError(error, "resolve " + host + ": " + gai_strerror(rc));
+    Peer peer;
+    if (!resolve(host, port, peer, error))
+        return false;
+    int fd = dial(peer);
+    if (fd < 0) {
+        setError(error, "connect " + host + ":" + std::to_string(port) +
+                            ": " + std::strerror(errno));
         return false;
     }
-
-    int connectedFd = -1;
-    int lastErr = ECONNREFUSED;
-    for (addrinfo *ai = result; ai != nullptr; ai = ai->ai_next) {
-        int fd = ::socket(ai->ai_family, ai->ai_socktype,
-                          ai->ai_protocol);
-        if (fd < 0) {
-            lastErr = errno;
-            continue;
-        }
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-            int one = 1;
-            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                         sizeof(one));
-            connectedFd = fd;
-            break;
-        }
-        lastErr = errno;
-        ::close(fd);
-    }
-    ::freeaddrinfo(result);
-
-    if (connectedFd < 0) {
-        setError(error, "connect " + host + ":" +
-                            std::to_string(port) + ": " +
-                            std::strerror(lastErr));
-        return false;
-    }
-    _fd.store(connectedFd, std::memory_order_release);
+    _fd.store(fd, std::memory_order_release);
     return true;
 }
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -45,6 +46,56 @@ nsSince(std::chrono::steady_clock::time_point from)
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - from)
             .count());
+}
+
+bool
+resolve(const std::string &host, std::uint16_t port, Peer &out,
+        std::string *error)
+{
+    addrinfo hints{};
+    hints.ai_family = AF_INET;
+    hints.ai_socktype = SOCK_STREAM;
+    addrinfo *result = nullptr;
+    int rc = ::getaddrinfo(host.c_str(), nullptr, &hints, &result);
+    if (rc != 0) {
+        if (error)
+            *error = "resolve " + host + ": " + ::gai_strerror(rc);
+        return false;
+    }
+    out.ip = reinterpret_cast<const sockaddr_in *>(result->ai_addr)
+                 ->sin_addr.s_addr;
+    out.port = port;
+    ::freeaddrinfo(result);
+    return true;
+}
+
+int
+dial(const Peer &peer, bool *inProgress)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(peer.port);
+    addr.sin_addr.s_addr = peer.ip;
+    if ((inProgress == nullptr || setNonBlocking(fd)) &&
+        ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) == 0) {
+        if (inProgress)
+            *inProgress = false;
+        return fd;
+    }
+    if (inProgress && errno == EINPROGRESS) {
+        *inProgress = true;
+        return fd;
+    }
+    int err = errno;
+    ::close(fd);
+    errno = err;
+    return -1;
 }
 
 Message

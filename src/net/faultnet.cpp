@@ -1,7 +1,5 @@
 #include "net/faultnet.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -155,7 +153,9 @@ FaultProxy::~FaultProxy()
 bool
 FaultProxy::start(std::string *error)
 {
-    if (!_wake.open(error) ||
+    // Resolve once: the relay thread dials without waiting on DNS.
+    if (!resolve(_upstreamHost, 0, _upstream, error) ||
+        !_wake.open(error) ||
         !_listener.open("127.0.0.1", 0, false, error)) {
         _wake.close();
         if (error)
@@ -213,23 +213,18 @@ void
 FaultProxy::acceptOne()
 {
     _listener.acceptAll([this](int cfd) {
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(
-            _upstreamPort.load(std::memory_order_acquire)));
-        ::inet_pton(AF_INET, _upstreamHost.c_str(), &addr.sin_addr);
-        int ufd = ::socket(AF_INET, SOCK_STREAM, 0);
-        bool dialed =
-            ufd >= 0 &&
-            ::connect(ufd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) == 0;
+        Peer upstream = _upstream;
+        upstream.port = static_cast<std::uint16_t>(
+            _upstreamPort.load(std::memory_order_acquire));
+        int ufd = dial(upstream);
+        bool dialed = ufd >= 0;
         {
             std::lock_guard<std::mutex> lock(_statsMutex);
             ++_stats.connections;
             if (!dialed)
                 ++_stats.upstreamFailed;
         }
-        if (!dialed || !prepareStream(ufd)) {
+        if (!dialed || !setNonBlocking(ufd)) {
             // No server behind the proxy: the client sees an
             // immediate close, which its retry policy treats as a
             // transient connection failure.

@@ -107,7 +107,8 @@ class FaultProxy
     FaultProxy(const FaultProxy &) = delete;
     FaultProxy &operator=(const FaultProxy &) = delete;
 
-    /** Bind an ephemeral loopback port and start the relay thread. */
+    /** Resolve the upstream host, bind an ephemeral loopback port
+     *  and start the relay thread. */
     bool start(std::string *error = nullptr);
 
     /** The port clients should connect to. */
@@ -157,6 +158,7 @@ class FaultProxy
     static void hardClose(int fd);
 
     std::string _upstreamHost;
+    Peer _upstream; ///< _upstreamHost, resolved by start()
     std::atomic<int> _upstreamPort;
     FaultSchedule _schedule;
     SplitMix64 _rng;

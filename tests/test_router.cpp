@@ -486,6 +486,27 @@ TEST(Router, FastModeForwardsThroughToBackends)
     EXPECT_EQ(got->modelNs, 0u);
 }
 
+/** A backend named by host name is resolved once, at start(), and
+ *  serves requests like one given as a dotted quad. */
+TEST(Router, HostNameBackendServesSubmit)
+{
+    BackendHarness backend;
+    PsiRouter::Config config = routerConfig({});
+    config.backends.push_back(BackendAddr{"localhost", backend.port()});
+    RouterHarness router(config);
+    router.waitForAdmission(1);
+
+    net::PsiClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect("localhost", router.port(), &error))
+        << error;
+    const auto &program = programs::programById("nreverse30");
+    auto got = client.submit(net::Request{program.id}, nullptr, &error);
+    ASSERT_TRUE(got.has_value()) << error;
+    expectMatchesSequential(*got, program);
+    EXPECT_EQ(router.router.metrics().backends[0].routed, 1u);
+}
+
 TEST(Router, UnknownWorkloadRefusedAtTheRouter)
 {
     BackendHarness backend;
