@@ -235,13 +235,15 @@ main(int argc, char **argv)
     // machine-readable mode is one line of it per round.
     if (json) {
         for (const auto &r : rounds)
-            std::cout << r.snap.json(r.wallNs) << "\n";
+            std::cout << metrics::describe(r.snap, r.wallNs).json()
+                      << "\n";
         return 0;
     }
 
     t.print(std::cout);
     std::cout << "\n";
     for (const auto &r : rounds)
-        std::cout << "JSON: " << r.snap.json(r.wallNs) << "\n";
+        std::cout << "JSON: "
+                  << metrics::describe(r.snap, r.wallNs).json() << "\n";
     return 0;
 }

@@ -103,8 +103,9 @@ main(int argc, char **argv)
 
     auto snap = pool.metrics();
     std::cout << "\n";
-    snap.table(wall_ns).print(std::cout);
-    std::cout << "\nJSON: " << snap.json(wall_ns) << "\n";
+    const metrics::Registry r = metrics::describe(snap, wall_ns);
+    r.table("psid service metrics").print(std::cout);
+    std::cout << "\nJSON: " << r.json() << "\n";
 
     if (!traceOut.empty()) {
         std::vector<trace::Span> spans = trace::collect();

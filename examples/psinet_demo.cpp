@@ -80,7 +80,9 @@ cmdServe(int argc, char **argv)
     server.run();
 
     std::cout << "\npsinet: drained; final metrics\n";
-    server.metrics().table().print(std::cout);
+    metrics::describe(server.metrics())
+        .table("psid service metrics")
+        .print(std::cout);
     return 0;
 }
 

@@ -140,12 +140,12 @@ main(int argc, char **argv)
     }
 
     // --- what the cluster did --------------------------------------
-    router::RouterMetrics metrics = router.metrics();
+    router::RouterMetrics routed = router.metrics();
     std::cout << '\n';
-    metrics.table().print(std::cout);
-    std::cout << "\naffinity: " << metrics.affinityHits << " hits, "
-              << metrics.affinityMisses << " misses ("
-              << stats::fixed(100.0 * metrics.affinityRatio(), 1)
+    metrics::describe(routed).table("psirouter metrics").print(std::cout);
+    std::cout << "\naffinity: " << routed.affinityHits << " hits, "
+              << routed.affinityMisses << " misses ("
+              << stats::fixed(100.0 * routed.affinityRatio(), 1)
               << "% routed to the shard owner)\n";
 
     std::uint64_t clusterMisses = 0, clusterHits = 0;

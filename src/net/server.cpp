@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "base/logging.hpp"
+#include "base/metrics.hpp"
 #include "base/trace.hpp"
 #include "programs/registry.hpp"
 
@@ -282,7 +283,7 @@ PsiServer::handleMessage(Conn &conn, Message &&msg,
     }
     if (std::get_if<StatsMsg>(&msg) != nullptr) {
         StatsReplyMsg reply;
-        reply.json = metrics().json(nsSince(_started));
+        reply.json = metrics::describe(metrics(), nsSince(_started)).json();
         queueReply(conn, Message(std::move(reply)));
         return conn.flush();
     }
@@ -294,7 +295,8 @@ PsiServer::handleMessage(Conn &conn, Message &&msg,
     }
     if (std::get_if<MetricsMsg>(&msg) != nullptr) {
         MetricsReplyMsg reply;
-        reply.text = metrics().prometheus(nsSince(_started));
+        reply.text =
+            metrics::describe(metrics(), nsSince(_started)).prometheus();
         queueReply(conn, Message(std::move(reply)));
         return conn.flush();
     }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "base/flags.hpp"
+#include "base/metrics.hpp"
 #include "base/trace.hpp"
 #include "router/router.hpp"
 
@@ -108,6 +109,8 @@ main(int argc, char **argv)
     router.run();
 
     std::cout << "\npsirouter: drained; final metrics\n";
-    router.metrics().table().print(std::cout);
+    metrics::describe(router.metrics())
+        .table("psirouter metrics")
+        .print(std::cout);
     return 0;
 }

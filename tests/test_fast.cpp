@@ -301,13 +301,13 @@ TEST(FastEngine, PoolCountsModesSeparately)
     EXPECT_EQ(snap.total.jobsFast, 2u);
 
     // The split surfaces in both machine renderings.
-    const std::string json = snap.json();
+    const std::string json = metrics::describe(snap).json();
     EXPECT_NE(json.find("\"completed_fidelity\": 1"),
               std::string::npos)
         << json;
     EXPECT_NE(json.find("\"completed_fast\": 2"), std::string::npos)
         << json;
-    const std::string prom = snap.prometheus();
+    const std::string prom = metrics::describe(snap).prometheus();
     EXPECT_NE(prom.find("psi_jobs_mode_total{mode=\"fast\"} 2"),
               std::string::npos)
         << prom;
@@ -595,12 +595,12 @@ TEST(FastEngine, IndexCountersSurfaceInPoolMetrics)
 
     auto snap = pool.metrics();
     EXPECT_EQ(snap.total.indexHits, o1.indexHits + o2.indexHits);
-    const std::string json = snap.json();
+    const std::string json = metrics::describe(snap).json();
     EXPECT_NE(json.find("\"index_hits\": "), std::string::npos)
         << json;
     EXPECT_NE(json.find("\"index_fallbacks\": "), std::string::npos)
         << json;
-    const std::string prom = snap.prometheus();
+    const std::string prom = metrics::describe(snap).prometheus();
     EXPECT_NE(prom.find("psi_index_hits_total"), std::string::npos)
         << prom;
     EXPECT_NE(prom.find("psi_index_fallbacks_total"),

@@ -391,12 +391,15 @@ TEST(EnginePool, MetricsAggregateAcrossWorkers)
     EXPECT_GT(snap.total.cache.totalAccesses(), 0u);
 
     // Renderings carry the aggregates.
-    std::string json = snap.json(1'000'000'000ull);
+    std::string json = metrics::describe(snap, 1'000'000'000ull).json();
     EXPECT_NE(json.find("\"completed\": " +
                         std::to_string(programs.size())),
               std::string::npos);
     EXPECT_NE(json.find("\"aggregate_lips\""), std::string::npos);
-    EXPECT_GT(snap.table(1'000'000'000ull).rowCount(), 10u);
+    EXPECT_GT(metrics::describe(snap, 1'000'000'000ull)
+                  .table("psid service metrics")
+                  .rowCount(),
+              10u);
 }
 
 // ---------------------------------------------------------------------
@@ -591,7 +594,7 @@ TEST(EnginePool, ProgramCacheCountersSurfaceInMetrics)
     EXPECT_EQ(snap.programCacheEntries, 1u);
     EXPECT_GT(snap.total.hostSolveNs, 0u);
 
-    std::string json = snap.json();
+    std::string json = metrics::describe(snap).json();
     EXPECT_NE(json.find("\"program_cache_hits\": 2"),
               std::string::npos);
     EXPECT_NE(json.find("\"program_cache_misses\": 1"),
