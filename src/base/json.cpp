@@ -1,7 +1,5 @@
 #include "base/json.hpp"
 
-#include "base/stats.hpp"
-
 namespace psi {
 
 std::string
@@ -49,14 +47,6 @@ JsonWriter::u(std::string_view k, std::uint64_t v)
 {
     key(k);
     _body += std::to_string(v);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::f(std::string_view k, double v, int prec)
-{
-    key(k);
-    _body += stats::fixed(v, prec);
     return *this;
 }
 
