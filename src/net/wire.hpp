@@ -278,7 +278,7 @@ struct StatsMsg
 
 struct StatsReplyMsg
 {
-    std::string json; ///< service::MetricsSnapshot::json()
+    std::string json; ///< metrics::Registry::json() of the peer
 };
 
 struct DrainMsg
