@@ -274,32 +274,26 @@ std::optional<ResultMsg>
 PsiClient::submit(const Request &request, const RetryPolicy *retry,
                   std::string *error)
 {
-    if (retry == nullptr) {
-        return submitOnce(request.workload, request.deadlineNs,
-                          request.timeoutMs, error, request.tenant,
-                          request.mode);
-    }
+    if (retry == nullptr)
+        return submitOnce(request, error);
     RetryPolicy policy = *retry;
     if (policy.maxAttempts == 0)
         policy.maxAttempts = 1;
     if (policy.connectAttempts == 0)
         policy.connectAttempts = 1;
-    return submitWithRetry(request.workload, policy,
-                           request.deadlineNs, request.timeoutMs,
-                           error, request.tenant, request.mode);
+    return submitWithRetry(request, policy, error);
 }
 
 std::optional<ResultMsg>
-PsiClient::submitOnce(const std::string &workload,
-                      std::uint64_t deadlineNs, int timeoutMs,
-                      std::string *error, const std::string &tenant,
-                      interp::ExecMode mode)
+PsiClient::submitOnce(const Request &request, std::string *error)
 {
     std::uint64_t tag = 0;
-    if (!sendSubmit(workload, deadlineNs, &tag, error, tenant, mode))
+    if (!sendSubmit(request.workload, request.deadlineNs, &tag, error,
+                    request.tenant, request.mode))
         return std::nullopt;
     for (;;) {
-        std::optional<ResultMsg> result = recvResult(timeoutMs, error);
+        std::optional<ResultMsg> result =
+            recvResult(request.timeoutMs, error);
         if (!result)
             return std::nullopt;
         if (result->tag == tag)
@@ -310,14 +304,12 @@ PsiClient::submitOnce(const std::string &workload,
 }
 
 std::optional<ResultMsg>
-PsiClient::submitWithRetry(const std::string &workload,
+PsiClient::submitWithRetry(const Request &request,
                            const RetryPolicy &policy,
-                           std::uint64_t deadlineNs, int timeoutMs,
-                           std::string *error,
-                           const std::string &tenant,
-                           interp::ExecMode mode)
+                           std::string *error)
 {
     using clock = std::chrono::steady_clock;
+    const std::uint64_t deadlineNs = request.deadlineNs;
     const auto start = clock::now();
     auto elapsedNs = [&] {
         return static_cast<std::uint64_t>(
@@ -365,14 +357,14 @@ PsiClient::submitWithRetry(const std::string &workload,
             deadlineNs == 0 ? 0 : deadlineNs - spent;
 
         std::uint64_t tag = 0;
-        if (!sendSubmit(workload, remainingNs, &tag, &lastError,
-                        tenant, mode))
+        if (!sendSubmit(request.workload, remainingNs, &tag,
+                        &lastError, request.tenant, request.mode))
             continue; // send failed: connection is dead, retry
         if (attempt > 1)
             ++_retryStats.resubmits;
 
         for (;;) {
-            int waitMs = timeoutMs;
+            int waitMs = request.timeoutMs;
             if (deadlineNs != 0) {
                 std::uint64_t el = elapsedNs();
                 std::uint64_t left =
@@ -432,25 +424,38 @@ PsiClient::submitWithRetry(const std::string &workload,
     return std::nullopt;
 }
 
-std::optional<std::string>
-PsiClient::stats(int timeoutMs, std::string *error)
+template <typename... Replies>
+std::optional<Message>
+PsiClient::awaitReply(const Message &request, const char *wanted,
+                      int timeoutMs, std::string *error)
 {
-    if (!sendAll(encode(Message(StatsMsg{})), error))
+    if (!sendAll(encode(request), error))
         return std::nullopt;
     for (;;) {
         std::optional<Message> msg = recvMessage(timeoutMs, error);
         if (!msg)
             return std::nullopt;
-        if (auto *reply = std::get_if<StatsReplyMsg>(&*msg))
-            return std::move(reply->json);
+        if ((std::holds_alternative<Replies>(*msg) || ...))
+            return msg;
         if (auto *result = std::get_if<ResultMsg>(&*msg)) {
             _pending.push_back(std::move(*result));
             continue; // pipelined RESULT passing by
         }
-        setError(error, "unexpected reply (wanted STATS_REPLY)");
+        setError(error, std::string("unexpected reply (wanted ") +
+                            wanted + ")");
         close();
         return std::nullopt;
     }
+}
+
+std::optional<std::string>
+PsiClient::stats(int timeoutMs, std::string *error)
+{
+    std::optional<Message> reply = awaitReply<StatsReplyMsg>(
+        StatsMsg{}, "STATS_REPLY", timeoutMs, error);
+    if (!reply)
+        return std::nullopt;
+    return std::move(std::get<StatsReplyMsg>(*reply).json);
 }
 
 std::optional<HelloAckMsg>
@@ -459,92 +464,46 @@ PsiClient::hello(std::uint64_t features, int timeoutMs,
 {
     HelloMsg msg;
     msg.features = features;
-    if (!sendAll(encode(Message(std::move(msg))), error))
+    std::optional<Message> reply = awaitReply<HelloAckMsg, ErrorMsg>(
+        msg, "HELLO_ACK", timeoutMs, error);
+    if (!reply)
         return std::nullopt;
-    for (;;) {
-        std::optional<Message> reply = recvMessage(timeoutMs, error);
-        if (!reply)
-            return std::nullopt;
-        if (auto *ack = std::get_if<HelloAckMsg>(&*reply))
-            return std::move(*ack);
-        if (auto *err = std::get_if<ErrorMsg>(&*reply)) {
-            setError(error, "server rejected hello (code " +
-                                std::to_string(err->code) + "): " +
-                                err->message);
-            close();
-            return std::nullopt;
-        }
-        if (auto *result = std::get_if<ResultMsg>(&*reply)) {
-            _pending.push_back(std::move(*result));
-            continue;
-        }
-        setError(error, "unexpected reply (wanted HELLO_ACK)");
+    if (auto *err = std::get_if<ErrorMsg>(&*reply)) {
+        setError(error, "server rejected hello (code " +
+                            std::to_string(err->code) + "): " +
+                            err->message);
         close();
         return std::nullopt;
     }
+    return std::move(std::get<HelloAckMsg>(*reply));
 }
 
 std::optional<std::string>
 PsiClient::traceJson(int timeoutMs, std::string *error)
 {
-    if (!sendAll(encode(Message(TraceMsg{})), error))
+    std::optional<Message> reply = awaitReply<TraceReplyMsg>(
+        TraceMsg{}, "TRACE_REPLY", timeoutMs, error);
+    if (!reply)
         return std::nullopt;
-    for (;;) {
-        std::optional<Message> msg = recvMessage(timeoutMs, error);
-        if (!msg)
-            return std::nullopt;
-        if (auto *reply = std::get_if<TraceReplyMsg>(&*msg))
-            return std::move(reply->json);
-        if (auto *result = std::get_if<ResultMsg>(&*msg)) {
-            _pending.push_back(std::move(*result));
-            continue;
-        }
-        setError(error, "unexpected reply (wanted TRACE_REPLY)");
-        close();
-        return std::nullopt;
-    }
+    return std::move(std::get<TraceReplyMsg>(*reply).json);
 }
 
 std::optional<std::string>
 PsiClient::metricsText(int timeoutMs, std::string *error)
 {
-    if (!sendAll(encode(Message(MetricsMsg{})), error))
+    std::optional<Message> reply = awaitReply<MetricsReplyMsg>(
+        MetricsMsg{}, "METRICS_REPLY", timeoutMs, error);
+    if (!reply)
         return std::nullopt;
-    for (;;) {
-        std::optional<Message> msg = recvMessage(timeoutMs, error);
-        if (!msg)
-            return std::nullopt;
-        if (auto *reply = std::get_if<MetricsReplyMsg>(&*msg))
-            return std::move(reply->text);
-        if (auto *result = std::get_if<ResultMsg>(&*msg)) {
-            _pending.push_back(std::move(*result));
-            continue;
-        }
-        setError(error, "unexpected reply (wanted METRICS_REPLY)");
-        close();
-        return std::nullopt;
-    }
+    return std::move(std::get<MetricsReplyMsg>(*reply).text);
 }
 
 bool
 PsiClient::drain(int timeoutMs, std::string *error)
 {
-    if (!sendAll(encode(Message(DrainMsg{})), error))
-        return false;
-    for (;;) {
-        std::optional<Message> msg = recvMessage(timeoutMs, error);
-        if (!msg)
-            return false;
-        if (std::get_if<DrainAckMsg>(&*msg) != nullptr)
-            return true;
-        if (auto *result = std::get_if<ResultMsg>(&*msg)) {
-            _pending.push_back(std::move(*result));
-            continue;
-        }
-        setError(error, "unexpected reply (wanted DRAIN_ACK)");
-        close();
-        return false;
-    }
+    return awaitReply<DrainAckMsg>(DrainMsg{}, "DRAIN_ACK", timeoutMs,
+                                   error)
+        .has_value();
 }
 
 } // namespace net

@@ -31,11 +31,13 @@
  * Every receive path takes a timeout in milliseconds (-1 = wait
  * forever); on timeout the call fails without consuming a partial
  * frame, so the connection stays usable.  A timeout on a *live*
- * connection is deliberately not retried by submitRetry(): the
- * request is still outstanding and a resubmit would run it twice.
+ * connection is deliberately not retried by submit(request,
+ * &policy): the request is still outstanding and a resubmit would
+ * run it twice.
  *
- * The retry paths (connect(), submitRetry()) are single-threaded
- * APIs - don't mix them with the concurrent sender/receiver split.
+ * The retry paths (connect(), submit(request, &policy)) are
+ * single-threaded APIs - don't mix them with the concurrent
+ * sender/receiver split.
  */
 
 #ifndef PSI_NET_CLIENT_HPP
@@ -53,10 +55,12 @@
 namespace psi {
 namespace net {
 
-/** Reconnect/retry policy for connect() and submitRetry(). */
+/** Reconnect/retry policy for connect() and submit(request,
+ *  &policy). */
 struct RetryPolicy
 {
-    /** submitRetry(): total tries per request (1 = no retry). */
+    /** submit(request, &policy): total tries per request (1 = no
+     *  retry). */
     unsigned maxAttempts = 4;
     /** connect(): dial attempts before giving up (1 = no retry).
      *  Name-resolution failures and transient connect errors
@@ -78,7 +82,7 @@ struct RetryStats
 {
     std::uint64_t connectDials = 0;      ///< dial attempts, total
     std::uint64_t connectRetries = 0;    ///< dials after a failure
-    std::uint64_t reconnects = 0;        ///< submitRetry() re-dials
+    std::uint64_t reconnects = 0;        ///< re-dials in submit()
     std::uint64_t resubmits = 0;         ///< SUBMITs sent again
     std::uint64_t overloadedRetries = 0; ///< OVERLOADED then retried
     std::uint64_t drainingRetries = 0;   ///< DRAINING then retried
@@ -220,21 +224,24 @@ class PsiClient
     bool sendAll(const std::string &bytes, std::string *error);
     std::optional<Message> recvMessage(int timeoutMs,
                                        std::string *error);
+    /**
+     * Send the control message @p request and return the first reply
+     * of one of the @p Replies types, parking the pipelined RESULTs
+     * that pass by for recvResult().  Any other reply closes the
+     * connection with "unexpected reply (wanted @p wanted)".
+     */
+    template <typename... Replies>
+    std::optional<Message> awaitReply(const Message &request,
+                                      const char *wanted,
+                                      int timeoutMs,
+                                      std::string *error);
     /** One SUBMIT, one matching RESULT, no retries. */
-    std::optional<ResultMsg>
-    submitOnce(const std::string &workload, std::uint64_t deadlineNs,
-               int timeoutMs, std::string *error,
-               const std::string &tenant = std::string(),
-               interp::ExecMode mode = interp::ExecMode::Fidelity);
+    std::optional<ResultMsg> submitOnce(const Request &request,
+                                        std::string *error);
     /** The resilient submit loop, parameterized by @p policy. */
-    std::optional<ResultMsg>
-    submitWithRetry(const std::string &workload,
-                    const RetryPolicy &policy,
-                    std::uint64_t deadlineNs, int timeoutMs,
-                    std::string *error,
-                    const std::string &tenant = std::string(),
-                    interp::ExecMode mode =
-                        interp::ExecMode::Fidelity);
+    std::optional<ResultMsg> submitWithRetry(const Request &request,
+                                             const RetryPolicy &policy,
+                                             std::string *error);
     /** One dial, no retry loop. */
     bool connectOnce(const std::string &host, std::uint16_t port,
                      std::string *error);
@@ -244,7 +251,8 @@ class PsiClient
 
     RetryPolicy _policy;
     RetryStats _retryStats;
-    /** Last connect() target, for submitRetry() reconnects. */
+    /** Last connect() target, for submit(request, &policy)
+     *  reconnects. */
     std::string _host;
     std::uint16_t _port = 0;
 

@@ -8,7 +8,7 @@
  *                    (conn.hpp)
  *  - net::PsiServer  poll-based non-blocking server over EnginePool
  *  - net::PsiClient  blocking client library (also pipelined, and
- *                    resilient via submitRetry())
+ *                    resilient via submit(request, &policy))
  *  - net::FaultProxy deterministic fault-injection proxy for chaos
  *                    testing (faultnet.hpp)
  *

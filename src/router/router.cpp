@@ -890,7 +890,8 @@ PsiRouter::failover(Pending &&pending)
         return;
     // Every admitted backend was tried (or the ring is empty): allow
     // a full second lap before giving up only if membership changed;
-    // otherwise refuse so the client's own submitRetry takes over.
+    // otherwise refuse so the client's own submit(request, &policy)
+    // retry takes over.
     auto owner = _ring.owner(pending.key);
     if (owner && pending.tried.size() < 2 * _backends.size()) {
         pending.isRetry = true;

@@ -27,8 +27,9 @@
  * the shard-affinity hit ratio); clients that want a backend's
  * engine metrics ask that backend directly.
  *
- * Failure handling mirrors the client library's submitRetry
- * contract, applied per backend connection:
+ * Failure handling mirrors the retry contract of the client
+ * library's submit(request, &policy), applied per backend
+ * connection:
  *
  *  - health: a periodic STATS probe rides each backend connection;
  *    consecutive probe timeouts (or any transport error) eject the

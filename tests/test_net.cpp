@@ -749,7 +749,8 @@ TEST(ConnectRetry, LateStartingServerEventuallyAccepts)
 TEST(Retry, OverloadedBackpressureRetriesUntilCapacityFrees)
 {
     // One worker, one queue slot: park two bounded jobs so the pool
-    // is saturated, then submitRetry() a third from a second client.
+    // is saturated, then submit(request, &policy) a third from a
+    // second client.
     // Its early attempts are refused OVERLOADED; the retry loop must
     // back off and land the job once the parked work drains.
     ServerHarness harness(serverConfig(1, 1));
