@@ -571,7 +571,6 @@ runRound(const RoundConfig &config, unsigned workers)
         serverConfig.workers = workers;
         serverConfig.queueCapacity =
             static_cast<std::size_t>(config.queueCapacity);
-        serverConfig.submitMode = service::Submit::FailFast;
         serverConfig.scheduler = config.sched;
         serverConfig.sched = config.fairness;
         auto server = std::make_unique<net::PsiServer>(serverConfig);

@@ -39,16 +39,14 @@ cmdServe(int argc, char **argv)
     std::uint64_t port = kDefaultPort;
     unsigned workers = 4;
     std::uint64_t capacity = 64;
-    bool block = false;
     bool traceOn = false;
 
     Flags flags("psinet_demo serve [options]");
     flags.opt("-P", &port, "TCP port (default 9734, 0 = ephemeral)")
         .opt("-w", &workers, "pool worker threads (default 4)")
-        .opt("-q", &capacity, "job queue capacity (default 64)")
-        .flag("--block",
-              &block, "block full-queue submits instead of replying "
-                      "OVERLOADED")
+        .opt("-q", &capacity,
+             "job queue capacity (default 64); a SUBMIT that finds "
+             "it full gets OVERLOADED")
         .flag("--trace", &traceOn,
               "record psitrace spans (fetch with the trace command)");
     if (!flags.parse(argc, argv))
@@ -60,8 +58,6 @@ cmdServe(int argc, char **argv)
     config.port = static_cast<std::uint16_t>(port);
     config.workers = workers;
     config.queueCapacity = static_cast<std::size_t>(capacity);
-    config.submitMode =
-        block ? service::Submit::Block : service::Submit::FailFast;
 
     net::PsiServer server(config);
     std::string error;
@@ -73,7 +69,7 @@ cmdServe(int argc, char **argv)
 
     std::cout << "psinet: listening on 127.0.0.1:" << server.port()
               << ", " << workers << " workers, queue capacity "
-              << capacity << (block ? " (blocking)" : " (fail-fast)")
+              << capacity << " (fail-fast)"
               << "\npsinet: SIGINT/SIGTERM or a DRAIN message drains "
                  "gracefully\n";
 

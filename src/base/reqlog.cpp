@@ -522,7 +522,8 @@ synthesize(const GenConfig &config)
         unsigned tenant = 0;
         while (tenant + 1 < tenants && t >= tenantCdf[tenant])
             ++tenant;
-        entry.tenant = "t" + std::to_string(tenant);
+        entry.tenant += 't';
+        entry.tenant += std::to_string(tenant);
 
         std::uint64_t pick = rng.below(shareTotal);
         for (const GenWorkload &w : config.workloads) {

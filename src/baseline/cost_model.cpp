@@ -60,7 +60,10 @@ std::string
 WInstr::str() const
 {
     std::string s = wopName(op);
-    s += " " + std::to_string(a) + "," + std::to_string(b);
+    s += ' ';
+    s += std::to_string(a);
+    s += ',';
+    s += std::to_string(b);
     return s;
 }
 

@@ -136,7 +136,7 @@ WamEngine::termCompare(const TaggedWord &a, const TaggedWord &b,
                             std::string &name, std::uint32_t &args) {
             if (d.tag == Tag::List) {
                 n = 2;
-                name = ".";
+                name = '.';
                 args = d.data;
             } else {
                 TaggedWord f = _heap[d.data];

@@ -1,11 +1,13 @@
 /**
  * @file
- * The connection layer of PsiServer, PsiRouter, FaultProxy and
+ * The connection layer of net::Frontend (the client side of
+ * PsiServer and PsiRouter), the router's backend legs, FaultProxy and
  * PsiClient: the one place that resolves and dials a peer, listens,
  * accepts, wakes a poll loop, reads a non-blocking socket into frames
- * and flushes queued messages.  Each owner keeps its poll iteration,
- * message handling, log text and counters; nothing here logs or
- * counts.  The classes are used on one loop thread, except
+ * and flushes queued messages.  Nothing here logs or counts: the
+ * front end (net/frontend.hpp) owns the poll loop, message handling,
+ * log text and counters of both front ends' clients, and the proxy
+ * keeps its own.  The classes are used on one loop thread, except
  * WakePipe::notify(); the free functions on any thread.
  */
 

@@ -6,6 +6,10 @@
  *  - net::FramedConn listener, wake pipe and framed connection shared
  *                    by the server, the router and the proxy
  *                    (conn.hpp)
+ *  - net::Frontend   the client side of the server and the router:
+ *                    listener, client connections, poll loop,
+ *                    HELLO/STATS/METRICS/TRACE/DRAIN, drain
+ *                    (frontend.hpp)
  *  - net::PsiServer  poll-based non-blocking server over EnginePool
  *  - net::PsiClient  blocking client library (also pipelined, and
  *                    resilient via submit(request, &policy))
@@ -21,6 +25,7 @@
 #include "net/client.hpp"
 #include "net/conn.hpp"
 #include "net/faultnet.hpp"
+#include "net/frontend.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
 

@@ -1,12 +1,8 @@
 #include "router/router.hpp"
 
-#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
-#include <cstring>
 
 #include "base/logging.hpp"
 #include "base/metrics.hpp"
@@ -16,20 +12,6 @@
 
 namespace psi {
 namespace router {
-
-namespace {
-
-/** Target of the SIGINT/SIGTERM drain handler. */
-std::atomic<PsiRouter *> g_signalRouter{nullptr};
-
-extern "C" void
-routerDrainSignalHandler(int)
-{
-    if (PsiRouter *router = g_signalRouter.load())
-        router->requestDrain();
-}
-
-} // namespace
 
 // --------------------------------------------------------------------
 // BackendAddr
@@ -146,10 +128,14 @@ RouterMetrics::describe(metrics::Registry &r, std::uint64_t wall_ns) const
 PsiRouter::PsiRouter() : PsiRouter(Config()) {}
 
 PsiRouter::PsiRouter(const Config &config)
-    : _config(config),
+    // The router's HELLO_ACK adds kFeatureRouting to the plain-server
+    // feature set: a client that offered the bit can tell a router
+    // from a backend by the ack.
+    : Frontend(config, "router", "psirouter",
+               net::kSupportedFeatures | net::kFeatureRouting),
+      _config(config),
       _ring(config.vnodes),
-      _fullRing(config.vnodes),
-      _started(Clock::now())
+      _fullRing(config.vnodes)
 {
     for (std::size_t i = 0; i < _config.backends.size(); ++i) {
         auto backend = std::make_unique<Backend>();
@@ -168,12 +154,6 @@ PsiRouter::PsiRouter(const Config &config)
     }
 }
 
-PsiRouter::~PsiRouter()
-{
-    if (g_signalRouter.load() == this)
-        g_signalRouter.store(nullptr);
-}
-
 bool
 PsiRouter::start(std::string *error)
 {
@@ -188,13 +168,8 @@ PsiRouter::start(std::string *error)
                           backend->peer, error))
             return false;
     }
-    if (!_wake.open(error))
+    if (!listen(error))
         return false;
-    if (!_listener.open(_config.bindAddr, _config.port,
-                        _config.reusePort, error)) {
-        _wake.close();
-        return false;
-    }
 
     // Dial every backend eagerly so the first SUBMIT usually finds a
     // populated ring; admission completes inside run()'s poll loop.
@@ -204,32 +179,9 @@ PsiRouter::start(std::string *error)
 }
 
 void
-PsiRouter::requestDrain()
-{
-    _drain.store(true, std::memory_order_release);
-    _wake.notify(); // async-signal-safe
-}
-
-void
-PsiRouter::installSignalHandlers()
-{
-    g_signalRouter.store(this);
-    struct sigaction sa{};
-    sa.sa_handler = routerDrainSignalHandler;
-    sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
-}
-
-void
 PsiRouter::run()
 {
-    PSI_ASSERT(_listener.isOpen(), "PsiRouter::run() before start()");
-    while (!drainComplete())
-        pollOnce();
-
-    _listener.close();
-    _conns.clear();
+    serve();
     for (auto &backend : _backends) {
         backend->conn.reset();
         backend->state.store(BState::Ejected,
@@ -237,19 +189,10 @@ PsiRouter::run()
     }
 }
 
-bool
-PsiRouter::drainComplete() const
+void
+PsiRouter::describe(metrics::Registry &r, std::uint64_t wallNs) const
 {
-    if (!_drain.load(std::memory_order_acquire))
-        return false;
-    // Every accepted request must be answered before exit; the
-    // backends still owe us _pending RESULTs.
-    if (!_pending.empty())
-        return false;
-    for (const auto &entry : _conns)
-        if (entry.second.wantsWrite())
-            return false;
-    return true;
+    metrics().describe(r, wallNs);
 }
 
 int
@@ -286,26 +229,11 @@ PsiRouter::pollTimeoutMs() const
     return static_cast<int>(std::min<long long>(ms + 1, 1000));
 }
 
-void
-PsiRouter::pollOnce()
+int
+PsiRouter::preparePoll(std::vector<pollfd> &fds)
 {
-    bool draining = _drain.load(std::memory_order_acquire);
-    if (draining)
-        _listener.close(); // stop accepting; run() owns the exit
-
     serviceBackendTimers();
-
-    std::vector<pollfd> fds;
-    fds.reserve(_conns.size() + _backends.size() + 2);
-    fds.push_back({_wake.readFd(), POLLIN, 0});
-    std::size_t listenerSlot = 0;
-    if (!draining && _listener.isOpen()) {
-        listenerSlot = fds.size();
-        fds.push_back({_listener.fd(), POLLIN, 0});
-    }
-
-    std::size_t backendBase = fds.size();
-    std::vector<std::uint32_t> backendOrder;
+    _polled.clear();
     for (auto &backend : _backends) {
         BState state =
             backend->state.load(std::memory_order_relaxed);
@@ -320,37 +248,17 @@ PsiRouter::pollOnce()
                 events |= POLLOUT;
         }
         fds.push_back({backend->conn.fd(), events, 0});
-        backendOrder.push_back(backend->index);
+        _polled.push_back(backend->index);
     }
+    return pollTimeoutMs();
+}
 
-    std::size_t connBase = fds.size();
-    std::vector<std::uint64_t> order;
-    order.reserve(_conns.size());
-    for (auto &entry : _conns) {
-        Conn &conn = entry.second;
-        short events = POLLIN;
-        if (conn.wantsWrite())
-            events |= POLLOUT;
-        fds.push_back({conn.fd(), events, 0});
-        order.push_back(conn.id);
-    }
-
-    int ready = ::poll(fds.data(), fds.size(), pollTimeoutMs());
-    if (ready < 0) {
-        if (errno == EINTR)
-            return;
-        panic("router poll failed: ", std::strerror(errno));
-    }
-
-    if (fds[0].revents & POLLIN)
-        _wake.drain();
-    if (!draining && _listener.isOpen() &&
-        (fds[listenerSlot].revents & POLLIN))
-        acceptConnections();
-
-    for (std::size_t i = 0; i < backendOrder.size(); ++i) {
-        Backend &backend = *_backends[backendOrder[i]];
-        short revents = fds[backendBase + i].revents;
+void
+PsiRouter::servePoll(std::span<const pollfd> ready)
+{
+    for (std::size_t i = 0; i < _polled.size(); ++i) {
+        Backend &backend = *_backends[_polled[i]];
+        short revents = ready[i].revents;
         if (revents == 0)
             continue;
         BState state =
@@ -374,136 +282,18 @@ PsiRouter::pollOnce()
                 BState::Admitted)
             eject(backend, "connection lost");
     }
-
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        auto it = _conns.find(order[i]);
-        if (it == _conns.end())
-            continue;
-        Conn &conn = it->second;
-        short revents = fds[connBase + i].revents;
-        bool ok = true;
-        if (revents & (POLLERR | POLLHUP | POLLNVAL))
-            ok = (revents & POLLIN) != 0; // drain final bytes first
-        if (ok && (revents & POLLIN))
-            ok = handleClientReadable(conn);
-        if (ok && (revents & POLLOUT))
-            ok = conn.flush();
-        if (!ok)
-            _closing.push_back(conn.id);
-    }
-
-    for (std::uint64_t id : _closing)
-        _conns.erase(id);
-    _closing.clear();
 }
 
 void
-PsiRouter::acceptConnections()
-{
-    int err = _listener.acceptAll([this](int fd) {
-        std::uint64_t id = _nextConnId++;
-        Conn &conn = _conns[id];
-        conn.id = id;
-        conn.reset(fd);
-        _clientConns.fetch_add(1, std::memory_order_relaxed);
-    });
-    if (err != 0)
-        warn("psirouter: accept failed: ", std::strerror(err));
-}
-
-bool
-PsiRouter::handleClientReadable(Conn &conn)
-{
-    if (!conn.readAvailable())
-        return false;
-
-    net::Message msg;
-    std::string derror;
-    for (;;) {
-        switch (conn.next(msg, derror)) {
-          case net::FramedConn::Next::NeedMore:
-            return true;
-          case net::FramedConn::Next::BadFrame:
-            warn("psirouter: dropping client ", conn.id,
-                 " (oversized or empty frame)");
-            return false;
-          case net::FramedConn::Next::BadPayload:
-            warn("psirouter: dropping client ", conn.id, " (",
-                 derror, ")");
-            return false;
-          case net::FramedConn::Next::Message:
-            break;
-        }
-        if (!handleClientMessage(conn, std::move(msg)))
-            return false;
-    }
-}
-
-bool
-PsiRouter::handleClientMessage(Conn &conn, net::Message &&msg)
-{
-    if (auto *submit = std::get_if<net::SubmitMsg>(&msg)) {
-        handleSubmit(conn, std::move(*submit));
-        return true;
-    }
-    if (auto *hello = std::get_if<net::HelloMsg>(&msg)) {
-        // The router answers with kFeatureRouting on top of the
-        // plain-server feature set: a client that offered the bit
-        // can tell a router from a backend by the ack.
-        net::Message reply = net::answerHello(
-            *hello, net::kSupportedFeatures | net::kFeatureRouting,
-            "router");
-        queueReply(conn, reply);
-        bool ok = conn.flush();
-        return ok && std::holds_alternative<net::HelloAckMsg>(reply);
-    }
-    if (std::get_if<net::StatsMsg>(&msg) != nullptr) {
-        net::StatsReplyMsg reply;
-        reply.json =
-            metrics::describe(metrics(), net::nsSince(_started)).json();
-        queueReply(conn, net::Message(std::move(reply)));
-        return conn.flush();
-    }
-    if (std::get_if<net::MetricsMsg>(&msg) != nullptr) {
-        net::MetricsReplyMsg reply;
-        reply.text = metrics::describe(metrics(), net::nsSince(_started))
-                         .prometheus();
-        queueReply(conn, net::Message(std::move(reply)));
-        return conn.flush();
-    }
-    if (std::get_if<net::TraceMsg>(&msg) != nullptr) {
-        net::TraceReplyMsg reply;
-        reply.json = trace::chromeJson(trace::collect());
-        queueReply(conn, net::Message(std::move(reply)));
-        return conn.flush();
-    }
-    if (std::get_if<net::DrainMsg>(&msg) != nullptr) {
-        requestDrain();
-        queueReply(conn, net::Message(net::DrainAckMsg{}));
-        return conn.flush();
-    }
-    warn("psirouter: dropping client ", conn.id,
-         " (unexpected message type ",
-         static_cast<int>(net::messageType(msg)), ")");
-    return false;
-}
-
-void
-PsiRouter::handleSubmit(Conn &conn, net::SubmitMsg &&msg)
+PsiRouter::submit(Conn &conn, net::SubmitMsg &&msg, std::uint64_t)
 {
     auto refuse = [&](net::WireStatus status, std::string why) {
-        net::ResultMsg reply;
-        reply.tag = msg.tag;
-        reply.status = status;
-        reply.error = std::move(why);
-        queueReply(conn, net::Message(std::move(reply)));
-        conn.flush();
+        net::ResultMsg refused;
+        refused.tag = msg.tag;
+        refused.status = status;
+        refused.error = std::move(why);
+        reply(conn, net::Message(std::move(refused)));
     };
-
-    if (_drain.load(std::memory_order_acquire)) {
-        refuse(net::WireStatus::Draining, "router is draining");
-        return;
-    }
 
     _submits.fetch_add(1, std::memory_order_relaxed);
 
@@ -606,15 +396,13 @@ void
 PsiRouter::respondToClient(const Pending &pending,
                            net::ResultMsg msg)
 {
-    auto it = _conns.find(pending.clientConnId);
-    if (it == _conns.end()) {
+    Conn *conn = client(pending.clientConnId);
+    if (conn == nullptr) {
         _clientGone.fetch_add(1, std::memory_order_relaxed);
         return;
     }
     msg.tag = pending.clientTag;
-    queueReply(it->second, net::Message(std::move(msg)));
-    if (!it->second.flush())
-        _closing.push_back(pending.clientConnId);
+    reply(*conn, net::Message(std::move(msg)));
 }
 
 void
@@ -625,16 +413,6 @@ PsiRouter::refuseClient(const Pending &pending,
     msg.status = status;
     msg.error = std::move(why);
     respondToClient(pending, std::move(msg));
-}
-
-void
-PsiRouter::queueReply(Conn &conn, const net::Message &msg)
-{
-    if (!conn.queue(msg, _config.maxWriteBuffer)) {
-        warn("psirouter: dropping slow consumer connection ",
-             conn.id);
-        _closing.push_back(conn.id);
-    }
 }
 
 // --------------------------------------------------------------------
@@ -946,7 +724,7 @@ PsiRouter::metrics() const
         out.ejections = b.ejections.load(std::memory_order_relaxed);
         m.backends.push_back(std::move(out));
     }
-    m.clientConns = _clientConns.load(std::memory_order_relaxed);
+    m.clientConns = _connsAccepted.load(std::memory_order_relaxed);
     m.submits = _submits.load(std::memory_order_relaxed);
     m.affinityHits = _affinityHits.load(std::memory_order_relaxed);
     m.affinityMisses =

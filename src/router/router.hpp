@@ -16,6 +16,15 @@
  * shard (consistent hashing), so a failure never flushes the
  * survivors' caches.
  *
+ * The client side is a net::Frontend (net/frontend.hpp), the same
+ * front end as PsiServer's: listener, client connections, poll loop,
+ * the HELLO / STATS / METRICS / TRACE / DRAIN answers, the
+ * slow-consumer rule and the drain.  The router keeps its SUBMIT
+ * routing, the RouterMetrics that STATS and METRICS describe, the
+ * pending table that says a client is still owed a RESULT, and in
+ * each poll pass its backend legs, their timers and the poll timeout
+ * those set.
+ *
  * The router speaks protocol v2 on both sides: clients may HELLO
  * (the ack carries kFeatureRouting so a client can tell a router
  * from a plain server), and the router opens every backend
@@ -56,7 +65,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -65,7 +73,7 @@
 #include <vector>
 
 #include "base/backoff.hpp"
-#include "net/conn.hpp"
+#include "net/frontend.hpp"
 #include "net/wire.hpp"
 #include "router/hash_ring.hpp"
 
@@ -125,13 +133,11 @@ struct RouterMetrics
 };
 
 /** Non-blocking TCP router in front of N PsiServer backends. */
-class PsiRouter
+class PsiRouter : public net::Frontend
 {
   public:
-    struct Config
+    struct Config : net::ListenConfig
     {
-        std::string bindAddr = "127.0.0.1";
-        std::uint16_t port = 0; ///< 0 = ephemeral (see port())
         std::vector<BackendAddr> backends;
         /** Ring points per backend (balance knob). */
         unsigned vnodes = 128;
@@ -147,19 +153,10 @@ class PsiRouter
         /** Reconnect backoff for ejected backends. */
         Backoff::Config readmission{50'000'000, 2'000'000'000, 2.0,
                                     1};
-        /** A client buffering more reply bytes than this is a slow
-         *  consumer and gets dropped. */
-        std::size_t maxWriteBuffer = 8u << 20;
-        /** Listener SO_REUSEPORT (multi-router front doors). */
-        bool reusePort = false;
     };
 
     PsiRouter();
     explicit PsiRouter(const Config &config);
-    ~PsiRouter();
-
-    PsiRouter(const PsiRouter &) = delete;
-    PsiRouter &operator=(const PsiRouter &) = delete;
 
     /**
      * Resolve every backend, bind + listen and begin dialing the
@@ -170,24 +167,10 @@ class PsiRouter
      */
     bool start(std::string *error = nullptr);
 
-    /** Actual listening port (after an ephemeral bind). */
-    std::uint16_t port() const { return _listener.port(); }
-
-    /** Event loop; returns after a drain completes. */
+    /** Event loop; returns after a drain completes (every forwarded
+     *  request answered, every reply flushed) and the backend legs
+     *  are closed. */
     void run();
-
-    /** Begin graceful drain: stop accepting, refuse new SUBMITs,
-     *  finish every forwarded request, flush, return from run().
-     *  Async-signal-safe (see installSignalHandlers()). */
-    void requestDrain();
-
-    bool draining() const
-    {
-        return _drain.load(std::memory_order_acquire);
-    }
-
-    /** Route SIGINT and SIGTERM to this router's requestDrain(). */
-    void installSignalHandlers();
 
     RouterMetrics metrics() const;
 
@@ -229,11 +212,6 @@ class PsiRouter
         /// @}
     };
 
-    struct Conn : net::FramedConn
-    {
-        std::uint64_t id = 0;
-    };
-
     /** One client request in flight toward some backend. */
     struct Pending
     {
@@ -252,19 +230,22 @@ class PsiRouter
         bool isRetry = false;         ///< next forward is a failover
     };
 
-    void pollOnce();
-    void acceptConnections();
-    bool handleClientReadable(Conn &conn);
-    bool handleClientMessage(Conn &conn, net::Message &&msg);
-    void handleSubmit(Conn &conn, net::SubmitMsg &&msg);
+    void submit(Conn &conn, net::SubmitMsg &&msg,
+                std::uint64_t decodeStartNs) override;
+    void describe(metrics::Registry &r,
+                  std::uint64_t wallNs) const override;
+    bool busy() const override { return !_pending.empty(); }
+    /** Run the backend timers and poll every open backend leg, at
+     *  most until the next timer is due. */
+    int preparePoll(std::vector<pollfd> &fds) override;
+    /** Connect, read and flush the backend legs. */
+    void servePoll(std::span<const pollfd> ready) override;
     /** Forward @p pending to @p target under a fresh router tag. */
     void forwardToBackend(std::uint32_t target, Pending &&pending);
     /** Reply to the pending request's client (drops when gone). */
     void respondToClient(const Pending &pending, net::ResultMsg msg);
     void refuseClient(const Pending &pending, net::WireStatus status,
                       std::string why);
-    /** Queue @p msg; a slow consumer is dropped (maxWriteBuffer). */
-    void queueReply(Conn &conn, const net::Message &msg);
 
     void serviceBackendTimers();
     void startConnect(Backend &backend);
@@ -284,7 +265,6 @@ class PsiRouter
     bool retryUntried(Pending &pending);
     void scheduleRedial(Backend &backend);
 
-    bool drainComplete() const;
     int pollTimeoutMs() const;
 
     static std::uint64_t
@@ -299,22 +279,16 @@ class PsiRouter
     }
 
     Config _config;
-    net::Listener _listener;
-    net::WakePipe _wake;
-    std::uint64_t _nextConnId = 1;
     std::uint64_t _nextRouterTag = 1;
-    std::map<std::uint64_t, Conn> _conns;
-    std::vector<std::uint64_t> _closing;
     std::vector<std::unique_ptr<Backend>> _backends;
+    /** Backends preparePoll() polled, in descriptor order. */
+    std::vector<std::uint32_t> _polled;
     std::unordered_map<std::uint64_t, Pending> _pending;
     HashRing _ring;     ///< admitted members only (routing)
     HashRing _fullRing; ///< full membership (affinity accounting)
-    std::atomic<bool> _drain{false};
-    Clock::time_point _started;
 
     /** @name Router-level counters (loop writes, metrics() reads) */
     /// @{
-    std::atomic<std::uint64_t> _clientConns{0};
     std::atomic<std::uint64_t> _submits{0};
     std::atomic<std::uint64_t> _affinityHits{0};
     std::atomic<std::uint64_t> _affinityMisses{0};

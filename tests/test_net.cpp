@@ -362,7 +362,6 @@ serverConfig(unsigned workers, std::size_t capacity,
     config.port = port; // 0 = ephemeral
     config.workers = workers;
     config.queueCapacity = capacity;
-    config.submitMode = service::Submit::FailFast;
     return config;
 }
 

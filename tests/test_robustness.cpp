@@ -85,8 +85,10 @@ TEST(Robustness, DeepNestingParsesAndRuns)
 TEST(Robustness, LongListsRoundTrip)
 {
     std::string list = "[0";
-    for (int i = 1; i < 800; ++i)
-        list += "," + std::to_string(i);
+    for (int i = 1; i < 800; ++i) {
+        list += ',';
+        list += std::to_string(i);
+    }
     list += "]";
     interp::Engine eng;
     eng.consult(programs::librarySource());

@@ -17,6 +17,8 @@
  *  - chaos: a backend killed mid-pipelined-batch loses zero requests
  *    and duplicates none (exactly-once failover to the ring
  *    successor); an ejected backend is re-admitted after restart
+ *  - the client side both share (net::Frontend): a slow consumer
+ *    past maxWriteBuffer is dropped, and SIGTERM drains the loop
  *
  * The binary carries the `router` ctest label so the group runs
  * under ThreadSanitizer alongside `service` and `net`:
@@ -29,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
 #include <map>
 #include <memory>
 #include <set>
@@ -265,13 +268,15 @@ struct BackendHarness
     std::thread loop;
 
     explicit BackendHarness(std::uint16_t port = 0,
-                            unsigned workers = 2)
+                            unsigned workers = 2,
+                            std::size_t maxWriteBuffer =
+                                net::ListenConfig().maxWriteBuffer)
         : server([&] {
               net::PsiServer::Config config;
               config.port = port;
               config.workers = workers;
               config.queueCapacity = 64;
-              config.submitMode = service::Submit::FailFast;
+              config.maxWriteBuffer = maxWriteBuffer;
               return config;
           }())
     {
@@ -820,6 +825,62 @@ TEST(RouterChaos, EjectedBackendIsReadmittedAfterRestart)
     router::RouterMetrics metrics = router.router.metrics();
     EXPECT_GE(metrics.backends[0].ejections, 1u);
     EXPECT_TRUE(metrics.backends[0].admitted);
+}
+
+// ---------------------------------------------------------------------
+// The shared client side (net::Frontend)
+// ---------------------------------------------------------------------
+
+/** Send STATS on a raw connection: the front end must close it
+ *  without answering. */
+void
+expectStatsAnsweredWithEof(std::uint16_t port)
+{
+    RawConn conn(port);
+    ASSERT_TRUE(conn.sendAll(net::encode(net::Message(net::StatsMsg{}))));
+    bool eof = false;
+    EXPECT_FALSE(conn.readMessage(&eof).has_value());
+    EXPECT_TRUE(eof) << "a reply past maxWriteBuffer was not dropped";
+}
+
+TEST(Frontend, SlowConsumerPastMaxWriteBufferIsDropped)
+{
+    // Every STATS reply is longer than 64 bytes, so queueing one
+    // marks the client a slow consumer on either front end.
+    BackendHarness tiny(0, 1, 64);
+    expectStatsAnsweredWithEof(tiny.port());
+    EXPECT_EQ(tiny.server.metrics().netConnsDropped, 1u);
+
+    BackendHarness backend;
+    PsiRouter::Config config = routerConfig({backend.port()});
+    config.maxWriteBuffer = 64;
+    RouterHarness router(config);
+    expectStatsAnsweredWithEof(router.port());
+
+    net::PsiClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect("127.0.0.1", backend.port(), &error))
+        << error;
+    EXPECT_TRUE(client.stats(-1, &error).has_value()) << error;
+}
+
+TEST(Frontend, SigtermDrainsServerAndRouter)
+{
+    BackendHarness backend;
+    backend.server.installSignalHandlers();
+    ASSERT_EQ(std::raise(SIGTERM), 0);
+    backend.loop.join();
+    EXPECT_TRUE(backend.server.draining());
+
+    BackendHarness live;
+    RouterHarness router(routerConfig({live.port()}));
+    router.router.installSignalHandlers();
+    ASSERT_EQ(std::raise(SIGTERM), 0);
+    router.loop.join();
+    EXPECT_TRUE(router.router.draining());
+
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
 }
 
 } // namespace

@@ -94,7 +94,6 @@ serverConfig(unsigned workers, std::size_t capacity)
     config.port = 0; // ephemeral
     config.workers = workers;
     config.queueCapacity = capacity;
-    config.submitMode = service::Submit::FailFast;
     return config;
 }
 
@@ -415,6 +414,66 @@ TEST(Observability, TraceReplyStitchesPipelinedConnections)
         EXPECT_NE(traceJson.find(std::string("\"name\": \"") + name),
                   std::string::npos)
             << name;
+}
+
+/** A refused SUBMIT is traced like an admitted one: its RESULT
+ *  echoes the tag minted as the SUBMIT decoded, and the server's
+ *  Decode, Encode and Reply spans and the client's Decode span all
+ *  sit under that tag. */
+TEST(Observability, RefusedSubmitsEchoTheirTraceTag)
+{
+    TraceGuard guard;
+    trace::setEnabled(true);
+
+    std::vector<std::uint64_t> refusedTags;
+    {
+        // One worker, one queue slot: a pipelined burst overflows,
+        // as in Loopback.SaturatedQueueRepliesOverloaded.
+        ServerHarness harness(serverConfig(1, 1));
+        net::PsiClient client;
+        std::string error;
+        ASSERT_TRUE(
+            client.connect("127.0.0.1", harness.port(), &error))
+            << error;
+
+        auto unknown = client.submit(net::Request{"no_such_workload"},
+                                     nullptr, &error);
+        ASSERT_TRUE(unknown.has_value()) << error;
+        ASSERT_EQ(unknown->status, WireStatus::UnknownWorkload);
+        refusedTags.push_back(unknown->traceTag);
+
+        constexpr int kBurst = 8;
+        constexpr std::uint64_t kDeadlineNs = 200'000'000;
+        for (int i = 0; i < kBurst; ++i)
+            ASSERT_TRUE(client.sendSubmit("bup3", kDeadlineNs, nullptr,
+                                          &error))
+                << error;
+        int overloaded = 0;
+        for (int i = 0; i < kBurst; ++i) {
+            auto result = client.recvResult(-1, &error);
+            ASSERT_TRUE(result.has_value()) << error;
+            if (result->status == WireStatus::Overloaded) {
+                ++overloaded;
+                refusedTags.push_back(result->traceTag);
+            }
+        }
+        EXPECT_GE(overloaded, kBurst - 2);
+
+        harness.drain(); // quiesce before collect()
+    }
+
+    std::vector<trace::Span> spans = trace::collect();
+    for (std::uint64_t tag : refusedTags) {
+        SCOPED_TRACE(tag);
+        ASSERT_NE(tag, 0u) << "refusal carries no trace tag";
+        auto stages = spansByStage(spans, tag);
+        // Server SUBMIT decode + client RESULT decode.
+        EXPECT_EQ(stages[trace::Stage::Decode].size(), 2u);
+        EXPECT_EQ(stages[trace::Stage::Encode].size(), 1u);
+        EXPECT_EQ(stages[trace::Stage::Reply].size(), 1u);
+        EXPECT_TRUE(stages[trace::Stage::Queue].empty())
+            << "a refused request never reached the pool";
+    }
 }
 
 TEST(Observability, MetricsReplyCarriesPrometheusFamilies)
