@@ -1,5 +1,9 @@
 #include "net/wire.hpp"
 
+#include <array>
+#include <type_traits>
+#include <utility>
+
 #include "service/engine_pool.hpp"
 
 namespace psi {
@@ -31,500 +35,360 @@ wireStatus(interp::RunStatus s)
     return WireStatus::EngineError;
 }
 
-MsgType
-messageType(const Message &msg)
-{
-    struct Visitor
-    {
-        MsgType operator()(const SubmitMsg &) { return MsgType::Submit; }
-        MsgType operator()(const ResultMsg &) { return MsgType::Result; }
-        MsgType operator()(const StatsMsg &) { return MsgType::Stats; }
-        MsgType operator()(const StatsReplyMsg &)
-        {
-            return MsgType::StatsReply;
-        }
-        MsgType operator()(const DrainMsg &) { return MsgType::Drain; }
-        MsgType operator()(const DrainAckMsg &)
-        {
-            return MsgType::DrainAck;
-        }
-        MsgType operator()(const HelloMsg &) { return MsgType::Hello; }
-        MsgType operator()(const HelloAckMsg &)
-        {
-            return MsgType::HelloAck;
-        }
-        MsgType operator()(const ErrorMsg &) { return MsgType::Error; }
-        MsgType operator()(const TraceMsg &) { return MsgType::Trace; }
-        MsgType operator()(const TraceReplyMsg &)
-        {
-            return MsgType::TraceReply;
-        }
-        MsgType operator()(const MetricsMsg &)
-        {
-            return MsgType::Metrics;
-        }
-        MsgType operator()(const MetricsReplyMsg &)
-        {
-            return MsgType::MetricsReply;
-        }
-    };
-    return std::visit(Visitor{}, msg);
-}
-
 namespace {
 
-// ---------------------------------------------------------------------
-// Primitive writers (big-endian, strings/arrays length-prefixed)
-// ---------------------------------------------------------------------
-
-void
-putU8(std::string &out, std::uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int shift = 24; shift >= 0; shift -= 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int shift = 56; shift >= 0; shift -= 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void
-putString(std::string &out, const std::string &s)
-{
-    putU32(out, static_cast<std::uint32_t>(s.size()));
-    out.append(s);
-}
-
-template <std::size_t N>
-void
-putArray(std::string &out, const std::array<std::uint64_t, N> &a)
-{
-    putU32(out, static_cast<std::uint32_t>(N));
-    for (std::uint64_t v : a)
-        putU64(out, v);
-}
-
-template <std::size_t Rows, std::size_t Cols>
-void
-putMatrix(std::string &out,
-          const std::array<std::array<std::uint64_t, Cols>, Rows> &m)
-{
-    putU32(out, static_cast<std::uint32_t>(Rows));
-    putU32(out, static_cast<std::uint32_t>(Cols));
-    for (const auto &row : m)
-        for (std::uint64_t v : row)
-            putU64(out, v);
-}
+// The type byte is the Message variant index + 1, so the order of the
+// variant's alternatives in wire.hpp is the wire numbering; this pins
+// each MsgType to its alternative.
+template <MsgType T, typename M>
+constexpr bool kTypeIs = std::is_same_v<
+    std::variant_alternative_t<static_cast<std::size_t>(T) - 1, Message>,
+    M>;
+static_assert(kTypeIs<MsgType::Submit, SubmitMsg> &&
+              kTypeIs<MsgType::Result, ResultMsg> &&
+              kTypeIs<MsgType::Stats, StatsMsg> &&
+              kTypeIs<MsgType::StatsReply, StatsReplyMsg> &&
+              kTypeIs<MsgType::Drain, DrainMsg> &&
+              kTypeIs<MsgType::DrainAck, DrainAckMsg> &&
+              kTypeIs<MsgType::Hello, HelloMsg> &&
+              kTypeIs<MsgType::HelloAck, HelloAckMsg> &&
+              kTypeIs<MsgType::Error, ErrorMsg> &&
+              kTypeIs<MsgType::Trace, TraceMsg> &&
+              kTypeIs<MsgType::TraceReply, TraceReplyMsg> &&
+              kTypeIs<MsgType::Metrics, MetricsMsg> &&
+              kTypeIs<MsgType::MetricsReply, MetricsReplyMsg> &&
+              std::variant_size_v<Message> ==
+                  static_cast<std::size_t>(MsgType::MetricsReply));
 
 // ---------------------------------------------------------------------
-// Primitive readers (bounds-checked; false = truncated)
+// Writer and Reader: the two walkers of a layout
 // ---------------------------------------------------------------------
+// Integers are big-endian; strings, string lists and arrays carry a
+// u32 count first, matrices their u32 rows and columns.  Both walkers
+// offer the same calls, so one layout() per message serves encode and
+// decode.
 
-struct Reader
+/** Appends each field to @p out. */
+struct Writer
 {
-    std::string_view data;
-    std::size_t pos = 0;
+    std::string &out;
+    bool tailOpen = true; ///< no SUBMIT tail field was absent yet
 
-    bool
-    getU8(std::uint8_t &v)
+    void
+    big(std::uint64_t v, int bytes)
     {
-        if (pos + 1 > data.size())
-            return false;
-        v = static_cast<std::uint8_t>(data[pos++]);
-        return true;
+        for (int shift = 8 * (bytes - 1); shift >= 0; shift -= 8)
+            out.push_back(static_cast<char>((v >> shift) & 0xff));
     }
 
-    bool
-    getU32(std::uint32_t &v)
+    void u8(std::uint8_t v) { big(v, 1); }
+    void u32(std::uint32_t v) { big(v, 4); }
+    void u64(std::uint64_t v) { big(v, 8); }
+    void count(std::size_t n) { u32(static_cast<std::uint32_t>(n)); }
+
+    template <typename E>
+    void
+    enum8(E v, E = E{})
     {
-        if (pos + 4 > data.size())
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v = (v << 8) |
-                static_cast<std::uint8_t>(data[pos++]);
-        return true;
+        u8(static_cast<std::uint8_t>(v));
     }
 
-    bool
-    getU64(std::uint64_t &v)
+    void
+    str(const std::string &s)
     {
-        if (pos + 8 > data.size())
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v = (v << 8) |
-                static_cast<std::uint8_t>(data[pos++]);
-        return true;
+        count(s.size());
+        out.append(s);
     }
 
-    bool
-    getString(std::string &s)
+    void
+    strings(const std::vector<std::string> &v)
     {
-        std::uint32_t n;
-        if (!getU32(n) || pos + n > data.size())
-            return false;
-        s.assign(data.substr(pos, n));
-        pos += n;
-        return true;
+        count(v.size());
+        for (const std::string &s : v)
+            str(s);
     }
 
-    template <std::size_t N>
+    /** Encode a tail field only while every one before it was
+     *  present: the encoder stops at the first absent field. */
     bool
-    getArray(std::array<std::uint64_t, N> &a)
+    tail(bool present)
     {
-        std::uint32_t n;
-        if (!getU32(n) || n != N)
-            return false;
+        return tailOpen = tailOpen && present;
+    }
+
+    template <typename A>
+    void
+    array(const A &a)
+    {
+        count(a.size());
+        for (std::uint64_t v : a)
+            u64(v);
+    }
+
+    template <typename M>
+    void
+    matrix(const M &m)
+    {
+        count(m.size());
+        count(std::tuple_size_v<typename M::value_type>);
+        for (const auto &row : m)
+            for (std::uint64_t v : row)
+                u64(v);
+    }
+};
+
+/** Fills each field from @p data, bounds-checked: the first read
+ *  past the end, or the first value out of range, clears ok() and
+ *  turns every later read into a no-op. */
+class Reader
+{
+  public:
+    explicit Reader(std::string_view data) : _data(data) {}
+
+    bool ok() const { return _ok; }
+    bool done() const { return _pos == _data.size(); }
+
+    void u8(std::uint8_t &v) { v = static_cast<std::uint8_t>(big(1)); }
+    void u32(std::uint32_t &v) { v = static_cast<std::uint32_t>(big(4)); }
+    void u64(std::uint64_t &v) { v = big(8); }
+    void count(std::size_t n) { check(big(4) == n); }
+
+    /** Values above @p max are an error, not a silent fallback. */
+    template <typename E>
+    void
+    enum8(E &v, E max = static_cast<E>(0xff))
+    {
+        const std::uint64_t b = big(1);
+        check(b <= static_cast<std::uint8_t>(max));
+        v = static_cast<E>(b);
+    }
+
+    void
+    str(std::string &s)
+    {
+        const std::uint64_t n = big(4);
+        if (check(n <= _data.size() - _pos)) {
+            s.assign(_data.substr(_pos, n));
+            _pos += n;
+        }
+    }
+
+    void
+    strings(std::vector<std::string> &v)
+    {
+        // An untrusted count: each string needs at least its 4-byte
+        // length prefix, so more than remaining/4 cannot decode.
+        // Checking before resize() keeps a tiny malicious frame from
+        // forcing a multi-GB allocation.
+        const std::uint64_t n = big(4);
+        if (!check(n <= (_data.size() - _pos) / 4))
+            return;
+        v.resize(n);
+        for (std::string &s : v)
+            str(s);
+    }
+
+    /** A tail field is present while bytes remain; once the frame
+     *  runs dry every later field is absent and keeps its default,
+     *  which is what lets a re-encode reproduce the sender's bytes. */
+    bool
+    tail(bool &present)
+    {
+        return present = !done();
+    }
+
+    template <typename A>
+    void
+    array(A &a)
+    {
+        count(a.size());
         for (std::uint64_t &v : a)
-            if (!getU64(v))
-                return false;
-        return true;
+            u64(v);
     }
 
-    template <std::size_t Rows, std::size_t Cols>
-    bool
-    getMatrix(std::array<std::array<std::uint64_t, Cols>, Rows> &m)
+    template <typename M>
+    void
+    matrix(M &m)
     {
-        std::uint32_t rows, cols;
-        if (!getU32(rows) || !getU32(cols) || rows != Rows ||
-            cols != Cols)
-            return false;
+        count(m.size());
+        count(std::tuple_size_v<typename M::value_type>);
         for (auto &row : m)
             for (std::uint64_t &v : row)
-                if (!getU64(v))
-                    return false;
-        return true;
+                u64(v);
     }
 
-    bool done() const { return pos == data.size(); }
+  private:
+    bool
+    check(bool cond)
+    {
+        return _ok = _ok && cond;
+    }
+
+    /** The next @p bytes bytes as a big-endian integer (0 once a
+     *  read has failed). */
+    std::uint64_t
+    big(std::size_t bytes)
+    {
+        if (!check(bytes <= _data.size() - _pos))
+            return 0;
+        std::uint64_t v = 0;
+        for (std::size_t i = 0; i < bytes; ++i)
+            v = (v << 8) | static_cast<std::uint8_t>(_data[_pos++]);
+        return v;
+    }
+
+    std::string_view _data;
+    std::size_t _pos = 0;
+    bool _ok = true;
 };
 
 // ---------------------------------------------------------------------
-// Message bodies
+// Message layouts: each body declared once, for both walkers
 // ---------------------------------------------------------------------
+// M is the message type, const when encoding.
 
-// ---------------------------------------------------------------------
-// SUBMIT tail fields
-// ---------------------------------------------------------------------
-// The SUBMIT body grew by appending one optional field per minor
-// revision, and a frame is self-canonical: it simply ends after the
-// last field its sender knew.  Each row below bundles the three
-// obligations one appended field carries - encode when present,
-// decode while bytes remain, reset to the default when absent (so a
-// re-encode reproduces the sender's exact bytes).  The encoder stops
-// at the first absent field and the decoder flips to absent at
-// exhaustion, which together enforce the prefix rule (e.g. a mode
-// byte cannot ride without the tenant field before it).  Adding a
-// v2.3 field is one more row, nothing else.
+template <typename M, typename... T>
+concept Of = (std::is_same_v<std::remove_const_t<M>, T> || ...);
 
-struct SubmitTailField
-{
-    bool SubmitMsg::*present;                      ///< presence flag
-    void (*put)(std::string &, const SubmitMsg &); ///< encode field
-    bool (*get)(Reader &, SubmitMsg &);            ///< decode+validate
-    void (*clear)(SubmitMsg &);                    ///< absent default
-};
-
-const SubmitTailField kSubmitTail[] = {
-    // v2.1: scheduling tenant ("" = the shared default tenant).
-    {&SubmitMsg::hasTenant,
-     [](std::string &out, const SubmitMsg &m) {
-         putString(out, m.tenant);
-     },
-     [](Reader &r, SubmitMsg &m) { return r.getString(m.tenant); },
-     [](SubmitMsg &m) { m.tenant.clear(); }},
-    // v2.2: execution-mode byte.  Unknown modes are a decode error,
-    // not a silent fallback: a frame asking for an execution
-    // semantics this build does not implement must not run as
-    // something else.
-    {&SubmitMsg::hasMode,
-     [](std::string &out, const SubmitMsg &m) {
-         putU8(out, static_cast<std::uint8_t>(m.mode));
-     },
-     [](Reader &r, SubmitMsg &m) {
-         std::uint8_t mode;
-         if (!r.getU8(mode))
-             return false;
-         if (mode > static_cast<std::uint8_t>(interp::ExecMode::Fast))
-             return false;
-         m.mode = static_cast<interp::ExecMode>(mode);
-         return true;
-     },
-     [](SubmitMsg &m) { m.mode = interp::ExecMode::Fidelity; }},
-};
-
+/** STATS, DRAIN, DRAIN_ACK, TRACE and METRICS: the type byte only.
+ *  A message with fields needs its own layout below. */
+template <typename IO, typename M>
 void
-putBody(std::string &out, const SubmitMsg &m)
+layout(IO &, M &)
 {
-    putU64(out, m.tag);
-    putString(out, m.workload);
-    putU64(out, m.deadlineNs);
-    for (const SubmitTailField &f : kSubmitTail) {
-        if (!(m.*f.present))
-            break;
-        f.put(out, m);
-    }
+    static_assert(std::is_empty_v<M>, "message without a layout");
 }
 
+/** The SUBMIT body grew by appending one optional field per minor
+ *  revision, and a frame is self-canonical: it ends after the last
+ *  field its sender knew.  tail() enforces the prefix rule (a mode
+ *  byte cannot ride without the tenant field before it); a v2.3
+ *  field is one more tail() line. */
+template <typename IO, Of<SubmitMsg> M>
 void
-putBody(std::string &out, const ResultMsg &m)
+layout(IO &io, M &m)
 {
-    putU64(out, m.tag);
-    putU8(out, static_cast<std::uint8_t>(m.status));
-    putString(out, m.error);
-    putU32(out, static_cast<std::uint32_t>(m.solutions.size()));
-    for (const auto &s : m.solutions)
-        putString(out, s);
-    putString(out, m.output);
-    putU64(out, m.inferences);
-    putU64(out, m.steps);
-    putU64(out, m.modelNs);
-    putU64(out, m.stallNs);
-    putArray(out, m.seq.moduleSteps);
-    putArray(out, m.seq.branchOps);
-    putMatrix(out, m.seq.wfModes);
-    putArray(out, m.seq.cacheSteps);
-    putMatrix(out, m.cache.accesses);
-    putMatrix(out, m.cache.hits);
-    putU64(out, m.cache.readIns);
-    putU64(out, m.cache.writeBacks);
-    putU64(out, m.cache.stackAllocs);
-    putU64(out, m.cache.throughWrites);
-    putU64(out, m.queueNs);
-    putU64(out, m.execNs);
-    putU64(out, m.latencyNs);
-    putU64(out, m.traceTag);
+    io.u64(m.tag);
+    io.str(m.workload);
+    io.u64(m.deadlineNs);
+    if (io.tail(m.hasTenant)) // v2.1: "" = the shared default tenant
+        io.str(m.tenant);
+    // v2.2: a mode this build does not implement must not run as
+    // something else, so an unknown mode byte is a decode error.
+    if (io.tail(m.hasMode))
+        io.enum8(m.mode, interp::ExecMode::Fast);
 }
 
+template <typename IO, Of<ResultMsg> M>
 void
-putBody(std::string &, const StatsMsg &)
-{}
+layout(IO &io, M &m)
+{
+    io.u64(m.tag);
+    io.enum8(m.status);
+    io.str(m.error);
+    io.strings(m.solutions);
+    io.str(m.output);
+    io.u64(m.inferences);
+    io.u64(m.steps);
+    io.u64(m.modelNs);
+    io.u64(m.stallNs);
+    io.array(m.seq.moduleSteps);
+    io.array(m.seq.branchOps);
+    io.matrix(m.seq.wfModes);
+    io.array(m.seq.cacheSteps);
+    io.matrix(m.cache.accesses);
+    io.matrix(m.cache.hits);
+    io.u64(m.cache.readIns);
+    io.u64(m.cache.writeBacks);
+    io.u64(m.cache.stackAllocs);
+    io.u64(m.cache.throughWrites);
+    io.u64(m.queueNs);
+    io.u64(m.execNs);
+    io.u64(m.latencyNs);
+    io.u64(m.traceTag);
+}
 
+template <typename IO, Of<StatsReplyMsg, TraceReplyMsg> M>
 void
-putBody(std::string &out, const StatsReplyMsg &m)
+layout(IO &io, M &m)
 {
-    putString(out, m.json);
+    io.str(m.json);
 }
 
+template <typename IO, Of<MetricsReplyMsg> M>
 void
-putBody(std::string &, const DrainMsg &)
-{}
+layout(IO &io, M &m)
+{
+    io.str(m.text);
+}
 
+template <typename IO, Of<HelloMsg, HelloAckMsg> M>
 void
-putBody(std::string &, const DrainAckMsg &)
-{}
+layout(IO &io, M &m)
+{
+    io.u32(m.versionMajor);
+    io.u32(m.versionMinor);
+    io.u64(m.features);
+}
 
+template <typename IO, Of<ErrorMsg> M>
 void
-putBody(std::string &out, const HelloMsg &m)
+layout(IO &io, M &m)
 {
-    putU32(out, m.versionMajor);
-    putU32(out, m.versionMinor);
-    putU64(out, m.features);
-}
-
-void
-putBody(std::string &out, const HelloAckMsg &m)
-{
-    putU32(out, m.versionMajor);
-    putU32(out, m.versionMinor);
-    putU64(out, m.features);
-}
-
-void
-putBody(std::string &out, const ErrorMsg &m)
-{
-    putU32(out, m.code);
-    putString(out, m.message);
-}
-
-void
-putBody(std::string &, const TraceMsg &)
-{}
-
-void
-putBody(std::string &out, const TraceReplyMsg &m)
-{
-    putString(out, m.json);
-}
-
-void
-putBody(std::string &, const MetricsMsg &)
-{}
-
-void
-putBody(std::string &out, const MetricsReplyMsg &m)
-{
-    putString(out, m.text);
-}
-
-bool
-getBody(Reader &r, SubmitMsg &m)
-{
-    if (!r.getU64(m.tag) || !r.getString(m.workload) ||
-        !r.getU64(m.deadlineNs))
-        return false;
-    // Once the frame runs dry, every remaining field is absent and
-    // takes its default - remembering the absence is what lets a
-    // re-encode reproduce the sender's exact bytes.
-    bool ended = false;
-    for (const SubmitTailField &f : kSubmitTail) {
-        if (!ended && r.done())
-            ended = true;
-        if (ended) {
-            m.*f.present = false;
-            f.clear(m);
-            continue;
-        }
-        m.*f.present = true;
-        if (!f.get(r, m))
-            return false;
-    }
-    return true;
-}
-
-bool
-getBody(Reader &r, ResultMsg &m)
-{
-    std::uint8_t status;
-    std::uint32_t nsolutions;
-    if (!r.getU64(m.tag) || !r.getU8(status) ||
-        !r.getString(m.error) || !r.getU32(nsolutions))
-        return false;
-    m.status = static_cast<WireStatus>(status);
-    // An untrusted count: each solution needs at least a 4-byte
-    // length prefix, so more than remaining/4 entries cannot decode.
-    // Checking before resize() keeps a tiny malicious frame from
-    // forcing a multi-GB allocation.
-    if (nsolutions > (r.data.size() - r.pos) / 4)
-        return false;
-    m.solutions.resize(nsolutions);
-    for (auto &s : m.solutions)
-        if (!r.getString(s))
-            return false;
-    return r.getString(m.output) && r.getU64(m.inferences) &&
-           r.getU64(m.steps) && r.getU64(m.modelNs) &&
-           r.getU64(m.stallNs) && r.getArray(m.seq.moduleSteps) &&
-           r.getArray(m.seq.branchOps) && r.getMatrix(m.seq.wfModes) &&
-           r.getArray(m.seq.cacheSteps) &&
-           r.getMatrix(m.cache.accesses) &&
-           r.getMatrix(m.cache.hits) && r.getU64(m.cache.readIns) &&
-           r.getU64(m.cache.writeBacks) &&
-           r.getU64(m.cache.stackAllocs) &&
-           r.getU64(m.cache.throughWrites) && r.getU64(m.queueNs) &&
-           r.getU64(m.execNs) && r.getU64(m.latencyNs) &&
-           r.getU64(m.traceTag);
-}
-
-bool
-getBody(Reader &, StatsMsg &)
-{
-    return true;
-}
-
-bool
-getBody(Reader &r, StatsReplyMsg &m)
-{
-    return r.getString(m.json);
-}
-
-bool
-getBody(Reader &, DrainMsg &)
-{
-    return true;
-}
-
-bool
-getBody(Reader &, DrainAckMsg &)
-{
-    return true;
-}
-
-bool
-getBody(Reader &r, HelloMsg &m)
-{
-    return r.getU32(m.versionMajor) && r.getU32(m.versionMinor) &&
-           r.getU64(m.features);
-}
-
-bool
-getBody(Reader &r, HelloAckMsg &m)
-{
-    return r.getU32(m.versionMajor) && r.getU32(m.versionMinor) &&
-           r.getU64(m.features);
-}
-
-bool
-getBody(Reader &r, ErrorMsg &m)
-{
-    return r.getU32(m.code) && r.getString(m.message);
-}
-
-bool
-getBody(Reader &, TraceMsg &)
-{
-    return true;
-}
-
-bool
-getBody(Reader &r, TraceReplyMsg &m)
-{
-    return r.getString(m.json);
-}
-
-bool
-getBody(Reader &, MetricsMsg &)
-{
-    return true;
-}
-
-bool
-getBody(Reader &r, MetricsReplyMsg &m)
-{
-    return r.getString(m.text);
+    io.u32(m.code);
+    io.str(m.message);
 }
 
 template <typename T>
 std::optional<Message>
 decodeAs(Reader &r, std::string *error)
 {
-    T msg;
-    if (!getBody(r, msg)) {
-        if (error)
-            *error = "truncated message body";
-        return std::nullopt;
-    }
-    if (!r.done()) {
-        if (error)
-            *error = "trailing bytes after message body";
-        return std::nullopt;
-    }
-    return Message(std::move(msg));
+    std::optional<Message> out(std::in_place, std::in_place_type<T>);
+    layout(r, std::get<T>(*out));
+    const char *why = !r.ok()     ? "truncated message body"
+                      : !r.done() ? "trailing bytes after message body"
+                                  : nullptr;
+    if (why == nullptr)
+        return out;
+    if (error)
+        *error = why;
+    return std::nullopt;
 }
 
+using Decoder = std::optional<Message> (*)(Reader &, std::string *);
+
+/** decodeAs<T> for every alternative, indexed by type byte - 1. */
+template <std::size_t... I>
+constexpr std::array<Decoder, sizeof...(I)>
+decoders(std::index_sequence<I...>)
+{
+    return {&decodeAs<std::variant_alternative_t<I, Message>>...};
+}
+
+constexpr auto kDecoders =
+    decoders(std::make_index_sequence<std::variant_size_v<Message>>{});
+
 } // namespace
+
+MsgType
+messageType(const Message &msg)
+{
+    return static_cast<MsgType>(msg.index() + 1);
+}
 
 std::string
 encode(const Message &msg)
 {
-    std::string payload;
-    putU8(payload, static_cast<std::uint8_t>(messageType(msg)));
-    std::visit([&payload](const auto &m) { putBody(payload, m); },
-               msg);
+    // Reserve the length header, walk the payload, then fill it in.
+    std::string frame(kFrameHeaderBytes, '\0');
+    Writer w{frame};
+    w.u8(static_cast<std::uint8_t>(messageType(msg)));
+    std::visit([&w](const auto &m) { layout(w, m); }, msg);
 
-    std::string frame;
-    frame.reserve(kFrameHeaderBytes + payload.size());
-    putU32(frame, static_cast<std::uint32_t>(payload.size()));
-    frame.append(payload);
+    std::string header;
+    Writer{header}.u32(
+        static_cast<std::uint32_t>(frame.size() - kFrameHeaderBytes));
+    frame.replace(0, kFrameHeaderBytes, header);
     return frame;
 }
 
@@ -534,9 +398,7 @@ extractFrame(std::string &buffer, std::string &payload)
     if (buffer.size() < kFrameHeaderBytes)
         return FrameResult::NeedMore;
     std::uint32_t length = 0;
-    for (int i = 0; i < 4; ++i)
-        length = (length << 8) |
-                 static_cast<std::uint8_t>(buffer[i]);
+    Reader(buffer).u32(length);
     if (length == 0 || length > kMaxFramePayload)
         return FrameResult::Bad;
     if (buffer.size() < kFrameHeaderBytes + length)
@@ -549,44 +411,20 @@ extractFrame(std::string &buffer, std::string &payload)
 std::optional<Message>
 decode(std::string_view payload, std::string *error)
 {
-    Reader r{payload};
-    std::uint8_t type;
-    if (!r.getU8(type)) {
+    Reader r(payload);
+    std::uint8_t type = 0;
+    r.u8(type);
+    if (!r.ok()) {
         if (error)
             *error = "empty payload";
         return std::nullopt;
     }
-    switch (static_cast<MsgType>(type)) {
-      case MsgType::Submit:
-        return decodeAs<SubmitMsg>(r, error);
-      case MsgType::Result:
-        return decodeAs<ResultMsg>(r, error);
-      case MsgType::Stats:
-        return decodeAs<StatsMsg>(r, error);
-      case MsgType::StatsReply:
-        return decodeAs<StatsReplyMsg>(r, error);
-      case MsgType::Drain:
-        return decodeAs<DrainMsg>(r, error);
-      case MsgType::DrainAck:
-        return decodeAs<DrainAckMsg>(r, error);
-      case MsgType::Hello:
-        return decodeAs<HelloMsg>(r, error);
-      case MsgType::HelloAck:
-        return decodeAs<HelloAckMsg>(r, error);
-      case MsgType::Error:
-        return decodeAs<ErrorMsg>(r, error);
-      case MsgType::Trace:
-        return decodeAs<TraceMsg>(r, error);
-      case MsgType::TraceReply:
-        return decodeAs<TraceReplyMsg>(r, error);
-      case MsgType::Metrics:
-        return decodeAs<MetricsMsg>(r, error);
-      case MsgType::MetricsReply:
-        return decodeAs<MetricsReplyMsg>(r, error);
+    if (type == 0 || type > kDecoders.size()) {
+        if (error)
+            *error = "unknown message type " + std::to_string(type);
+        return std::nullopt;
     }
-    if (error)
-        *error = "unknown message type " + std::to_string(type);
-    return std::nullopt;
+    return kDecoders[type - 1](r, error);
 }
 
 ResultMsg

@@ -13,8 +13,10 @@
  * kMaxFramePayload; a peer announcing a larger frame is a protocol
  * error and the connection is dropped without buffering the payload.
  * Integers are fixed-width big-endian, strings and arrays carry a u32
- * count before their elements, so every message round-trips through
- * encode()/decode() byte-exactly (pinned by tests/test_net.cpp).
+ * count before their elements.  Each message body is declared once,
+ * in its layout() in wire.cpp, which encode() and decode() both walk,
+ * so every message round-trips byte-exactly; the bytes themselves are
+ * pinned by tests/golden/wire_frames.txt.
  *
  * Message flow (see docs/PROTOCOL.md for the full layout):
  *
@@ -97,7 +99,8 @@ constexpr std::uint64_t kSupportedFeatures =
 /** ERROR codes (the `code` field of ErrorMsg). */
 constexpr std::uint32_t kErrUnsupportedVersion = 1;
 
-/** Payload type byte. */
+/** Payload type byte: the Message variant index + 1 (wire.cpp pins
+ *  the two orders together). */
 enum class MsgType : std::uint8_t
 {
     Submit = 1,      ///< client -> server: run one workload
@@ -142,11 +145,13 @@ WireStatus wireStatus(interp::RunStatus s);
  *  after the tenant (so hasMode implies hasTenant).  The decoder
  *  distinguishes the forms by exhaustion and re-encodes each one
  *  byte-identically (the fuzz suite's round-trip property), so old
- *  clients interop unchanged.  Encoder and decoder share one
- *  ordered tail-field table in wire.cpp (kSubmitTail) - appending a
- *  future field is one row there.  Construct outgoing SUBMITs
- *  through SubmitBuilder rather than by hand: the builder keeps the
- *  presence flags consistent with the prefix rule. */
+ *  clients interop unchanged.  The layout is declared once, in the
+ *  SUBMIT layout() in wire.cpp, where each tail field is one tail()
+ *  line that encode and decode share - appending a future field is
+ *  one more line there; tests/golden/wire_frames.txt pins the bytes
+ *  of all three forms.  Construct outgoing SUBMITs through
+ *  SubmitBuilder rather than by hand: the builder keeps the presence
+ *  flags consistent with the prefix rule. */
 struct SubmitMsg
 {
     std::uint64_t tag = 0;        ///< client-chosen correlation id
@@ -173,8 +178,9 @@ struct SubmitMsg
  * form (v1/v2.0: tag + workload + deadline); each setter that
  * touches an appended tail field upgrades the frame just far enough
  * to carry it, so the presence flags always satisfy the prefix rule
- * (mode() implies the tenant field is on the wire) and a Fidelity
- * request without a tenant still interops with pre-v2.1 servers:
+ * that the SUBMIT layout() in wire.cpp encodes by (mode() implies
+ * the tenant field is on the wire) and a Fidelity request without a
+ * tenant still interops with pre-v2.1 servers:
  *
  *     encode(SubmitBuilder(tag, "queens1")
  *                .deadlineNs(budget)
