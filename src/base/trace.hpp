@@ -143,39 +143,6 @@ void reset();
 /** Render spans as Chrome trace-event JSON ("X" complete events). */
 std::string chromeJson(const std::vector<Span> &spans);
 
-/**
- * RAII span: stamps the start on construction (when enabled) and
- * records on destruction.  setTag() attaches the request tag once
- * it is known (e.g. after decode assigns one).
- */
-class SpanScope
-{
-  public:
-    SpanScope(Stage stage, std::uint64_t tag = 0)
-        : _tag(tag), _stage(stage), _armed(enabled())
-    {
-        if (_armed)
-            _start = nowNs();
-    }
-
-    ~SpanScope()
-    {
-        if (_armed)
-            detail::recordSlow(_stage, _tag, _start, nowNs());
-    }
-
-    SpanScope(const SpanScope &) = delete;
-    SpanScope &operator=(const SpanScope &) = delete;
-
-    void setTag(std::uint64_t tag) { _tag = tag; }
-
-  private:
-    std::uint64_t _start = 0;
-    std::uint64_t _tag;
-    Stage _stage;
-    bool _armed;
-};
-
 } // namespace trace
 } // namespace psi
 

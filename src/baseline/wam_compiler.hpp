@@ -94,9 +94,6 @@ class WamCompiler
 
     kl0::SymbolTable &syms() { return *_syms; }
 
-    /** Total compiled instructions (for reports). */
-    std::size_t codeSize() const { return _code.size(); }
-
   private:
     struct VarInfo
     {

@@ -294,10 +294,6 @@ WamEngine::step()
 {
     const WInstr &inst = _compiler.code()[_p++];
     ++_cnt.op[static_cast<int>(inst.op)];
-    if (_traceExec) {
-        inform("wam ", _p - 1, ": ", inst.str(), "  E=", _e, " B=",
-               _cps.size(), " H=", _heap.size());
-    }
 
     switch (inst.op) {
       // ---- head -----------------------------------------------------

@@ -56,10 +56,7 @@ class WamEngine
 
     kl0::SymbolTable &symbols() { return _syms; }
     WamCompiler &compiler() { return _compiler; }
-    /** Print each executed instruction to stderr (debugging). */
-    void setTraceExec(bool v) { _traceExec = v; }
     const CostCounters &counters() const { return _cnt; }
-    const CostModel &costModel() const { return *_model; }
 
   private:
     /** Environment frame (Y slots live in the _yslots arena). */
@@ -137,7 +134,6 @@ class WamEngine
 
     bool _failFlag = false;
     bool _haltFlag = false;
-    bool _traceExec = false;
     std::uint64_t _inferences = 0;
     std::string _out;
     std::size_t _maxOutputBytes = 1 << 20;

@@ -96,10 +96,10 @@ Engine::solve(const kl0::TermPtr &goal, const RunLimits &limits)
 RunResult
 Engine::run(const kl0::QueryCode &qc, const RunLimits &limits)
 {
-    if (_resetStatsOnRun) {
-        mem().resetStats();
-        seq().resetStats();
-    }
+    // Reset after query compilation, so the statistics and the cache
+    // cover execution only.
+    mem().resetStats();
+    seq().resetStats();
     RunResult result;
     if (startQuery(qc, limits))
         mainLoop(qc, result, limits);

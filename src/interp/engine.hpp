@@ -210,12 +210,6 @@ class Engine : public Core<Modeled>
     const kl0::CodeGen &codegen() const { return _codegen; }
     /// @}
 
-    /**
-     * When true (default), statistics and the cache are reset after
-     * query compilation so measurements cover execution only.
-     */
-    void setResetStatsOnRun(bool v) { _resetStatsOnRun = v; }
-
   private:
     RunResult run(const kl0::QueryCode &qc, const RunLimits &limits);
     /** Sets result.status when a limit ends the run early. */
@@ -223,7 +217,6 @@ class Engine : public Core<Modeled>
                   const RunLimits &limits);
 
     kl0::CodeGen _codegen;
-    bool _resetStatsOnRun = true;
 };
 
 } // namespace interp

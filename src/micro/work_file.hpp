@@ -78,16 +78,12 @@ class WorkFile
     void setWfar1(std::uint16_t a) { _wfar1 = a; }
     void setWfar2(std::uint16_t a) { _wfar2 = a; }
 
-    /** Read through WFAR1 with post-increment. */
-    const TaggedWord &readWfar1Inc() { return _words[_wfar1++]; }
     /** Write through WFAR1 with post-increment. */
     void writeWfar1Inc(const TaggedWord &w) { _words[_wfar1++] = w; }
     /** Read through WFAR1 after pre-decrement. */
     const TaggedWord &readWfar1Dec() { return _words[--_wfar1]; }
 
-    const TaggedWord &readWfar2Inc() { return _words[_wfar2++]; }
     void writeWfar2Inc(const TaggedWord &w) { _words[_wfar2++] = w; }
-    const TaggedWord &readWfar2Dec() { return _words[--_wfar2]; }
 
     // --- WFCBR: base register for the general area --------------------
 

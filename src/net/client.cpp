@@ -72,9 +72,9 @@ PsiClient::connect(const std::string &host, std::uint16_t port,
     _host = host;
     _port = port;
 
-    Backoff backoff({_policy.backoffBaseNs, _policy.backoffMaxNs,
-                     _policy.backoffMultiplier,
-                     _policy.seed + _retryStats.connectDials});
+    Backoff backoff({.baseNs = _policy.backoffBaseNs,
+                     .maxNs = _policy.backoffMaxNs,
+                     .seed = _policy.seed + _retryStats.connectDials});
     std::string lastError;
     for (unsigned attempt = 1;; ++attempt) {
         ++_retryStats.connectDials;
@@ -318,9 +318,9 @@ PsiClient::submitWithRetry(const Request &request,
                 .count());
     };
 
-    Backoff backoff({policy.backoffBaseNs, policy.backoffMaxNs,
-                     policy.backoffMultiplier,
-                     policy.seed + _nextTag});
+    Backoff backoff({.baseNs = policy.backoffBaseNs,
+                     .maxNs = policy.backoffMaxNs,
+                     .seed = policy.seed + _nextTag});
     std::string lastError = "not connected";
 
     for (unsigned attempt = 1; attempt <= policy.maxAttempts;

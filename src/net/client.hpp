@@ -67,9 +67,10 @@ struct RetryPolicy
      *  (ECONNREFUSED and friends) are retried alike. */
     unsigned connectAttempts = 3;
 
-    std::uint64_t backoffBaseNs = 5'000'000;   ///< first ceiling
+    /** First backoff ceiling; it doubles after each delay, up to
+     *  backoffMaxNs. */
+    std::uint64_t backoffBaseNs = 5'000'000;
     std::uint64_t backoffMaxNs = 500'000'000;  ///< ceiling cap
-    double backoffMultiplier = 2.0;
     /** An OVERLOADED reply raises the backoff ceiling to at least
      *  this: server backpressure backs off harder than a flaky
      *  link does. */

@@ -91,9 +91,8 @@ struct SchedConfig
      *  waits exceed the cap, every dispatch is an age override and
      *  the policy degenerates to FIFO. */
     std::uint64_t ageCapNs = 500'000'000;
-    /** WFQ share for tenants absent from @ref weights. */
-    std::uint64_t defaultWeight = 1;
-    /** Per-tenant WFQ shares (higher = more dispatch share). */
+    /** Per-tenant WFQ shares (higher = more dispatch share); a
+     *  tenant absent from the map weighs 1. */
     std::map<std::string, std::uint64_t> weights;
     /** Tenant table bound; later tenants share kOverflowTenant. */
     std::size_t maxTenants = 64;
@@ -211,8 +210,6 @@ class SchedulerBase : public Scheduler<T>
         if (_config.tenantQuota == 0 ||
             _config.tenantQuota > _config.capacity)
             _config.tenantQuota = _config.capacity;
-        if (_config.defaultWeight == 0)
-            _config.defaultWeight = 1;
         if (_config.maxTenants < 2)
             _config.maxTenants = 2;
     }
@@ -303,7 +300,7 @@ class SchedulerBase : public Scheduler<T>
         auto w = _config.weights.find(key);
         t.weight = w != _config.weights.end() && w->second > 0
             ? w->second
-            : _config.defaultWeight;
+            : 1;
         // A tenant arriving late starts at the current virtual
         // clock, not zero, so it cannot claim an unbounded backlog
         // of "credit" and lock out established tenants.
