@@ -6,10 +6,12 @@
  * A snapshot's describe() hands every metric to add() with its STATS
  * key (the flat JSON object of STATS_REPLY; empty for none), its
  * Prometheus family (the METRICS_REPLY text; a default Family for
- * none) and its value.  json() writes the pairs in declaration order
- * through JsonWriter, and table() lists the same pairs;
- * prometheus() writes each family's TYPE line once, where the family
- * was first declared, followed by all of its samples.
+ * none) and its value.  Values stay numbers until a renderer asks for
+ * text, so a STATS reply formats no METRICS sample and the reverse.
+ * json() writes the keyed metrics in declaration order through
+ * JsonWriter, and table() lists the same pairs; prometheus() writes
+ * each family's TYPE line once, where the family was first declared,
+ * followed by all of its samples.
  */
 
 #ifndef PSI_BASE_METRICS_HPP
@@ -21,6 +23,7 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,20 +34,37 @@ namespace metrics {
 
 enum class Type : std::uint8_t { Counter, Gauge, Summary };
 
-/** One value as STATS and METRICS print it. */
-struct Value
+/** One value, unformatted until STATS or METRICS prints it. */
+class Value
 {
+  public:
     /** An integer, printed alike in both. */
     template <std::integral T>
-    Value(T v) : json(std::to_string(v)), prom(json)
-    {}
-    Value(std::string j, std::string p, bool q = false)
-        : json(std::move(j)), prom(std::move(p)), quoted(q)
-    {}
+    Value(T v) : _u(static_cast<std::uint64_t>(v))
+    {
+        if constexpr (std::is_signed_v<T>)
+            _negative = v < 0;
+    }
 
-    std::string json;    ///< STATS literal (a string when quoted)
-    std::string prom;    ///< METRICS sample value
-    bool quoted = false;
+    std::string json() const; ///< STATS literal (a string when quoted)
+    std::string prom() const; ///< METRICS sample value
+    bool quoted() const { return _kind == Kind::Text; }
+
+  private:
+    enum class Kind : std::uint8_t { Integer, Nanos, Fixed, Text };
+
+    explicit Value(Kind kind) : _kind(kind) {}
+
+    friend Value nanos(std::uint64_t ns);
+    friend Value fixed(double v, int prec);
+    friend Value text(std::string_view s);
+
+    Kind _kind = Kind::Integer;
+    bool _negative = false; ///< Integer: _u holds the two's complement
+    int _prec = 0;          ///< Fixed: decimals
+    std::uint64_t _u = 0;   ///< Integer, Nanos
+    double _d = 0;          ///< Fixed
+    std::string _text;      ///< Text
 };
 
 /** Nanoseconds in STATS, seconds with nine decimals in METRICS. */
@@ -82,15 +102,26 @@ class Registry
     Table table(std::string title) const;
 
   private:
-    struct FamilyText
+    struct FamilyDecl
     {
         std::string name;
         Type type;
-        std::string samples; ///< rendered sample lines
     };
 
-    std::vector<std::pair<std::string, Value>> _pairs; ///< STATS pairs
-    std::vector<FamilyText> _families;
+    /** One add(): a STATS pair, a METRICS sample, or both. */
+    struct Entry
+    {
+        std::string key;    ///< STATS key; empty for none
+        std::size_t family; ///< _families index; none when out of range
+        std::size_t tailBegin, tailEnd; ///< the sample's _tails text
+        Value value;
+    };
+
+    std::vector<FamilyDecl> _families;
+    std::vector<Entry> _entries;
+    /** Each sample's name suffix and {labels}, back to back (labels
+     *  are copied: the strings they view may not outlive add()). */
+    std::string _tails;
 };
 
 /** A registry holding @p subject's metrics, declared by
