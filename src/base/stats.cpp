@@ -1,7 +1,6 @@
 #include "base/stats.hpp"
 
-#include <iomanip>
-#include <sstream>
+#include <cstdio>
 
 namespace psi {
 namespace stats {
@@ -23,9 +22,17 @@ ratio(std::uint64_t num, std::uint64_t den)
 std::string
 fixed(double v, int prec)
 {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(prec) << v;
-    return os.str();
+    // The conversion an ostringstream with std::fixed makes, without
+    // building the stream.
+    char buf[64];
+    int n = std::snprintf(buf, sizeof buf, "%.*f", prec, v);
+    if (n < 0)
+        return std::string();
+    if (static_cast<std::size_t>(n) < sizeof buf)
+        return std::string(buf, static_cast<std::size_t>(n));
+    std::string out(static_cast<std::size_t>(n), '\0');
+    std::snprintf(out.data(), out.size() + 1, "%.*f", prec, v);
+    return out;
 }
 
 } // namespace stats

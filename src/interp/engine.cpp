@@ -104,7 +104,7 @@ Engine::run(const kl0::QueryCode &qc, const RunLimits &limits)
     if (startQuery(qc, limits))
         mainLoop(qc, result, limits);
     finishRun(result);
-    result.steps = seq().stats().totalSteps();
+    result.steps = seq().totalSteps();
     result.timeNs = seq().timeNs();
     return result;
 }

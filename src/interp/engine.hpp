@@ -128,7 +128,7 @@ class Modeled
     bool frameBuffers() const { return _fw.frameBuffers; }
 
     /** Microinstruction steps so far (the sequencer counts them). */
-    std::uint64_t ticks() const { return _seq.stats().totalSteps(); }
+    std::uint64_t ticks() const { return _seq.totalSteps(); }
     void tick() {}
 
   private:

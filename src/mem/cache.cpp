@@ -1,5 +1,7 @@
 #include "mem/cache.hpp"
 
+#include <bit>
+
 #include "base/logging.hpp"
 
 namespace psi {
@@ -81,14 +83,8 @@ CacheStats::totalHitPct() const
 }
 
 Cache::Cache(const CacheConfig &config)
-    : _config(config),
-      _numSets(config.numIndexSets()),
-      _lines(_numSets * config.ways)
 {
-    PSI_ASSERT(config.blockWords > 0 && config.ways > 0,
-               "degenerate cache geometry");
-    PSI_ASSERT((_numSets & (_numSets - 1)) == 0,
-               "set count must be a power of two, got ", _numSets);
+    reconfigure(config);
 }
 
 void
@@ -104,24 +100,20 @@ Cache::reconfigure(const CacheConfig &config)
 {
     PSI_ASSERT(config.blockWords > 0 && config.ways > 0,
                "degenerate cache geometry");
+    PSI_ASSERT(std::has_single_bit(config.blockWords),
+               "block size must be a power of two, got ",
+               config.blockWords);
     _config = config;
     _numSets = config.numIndexSets();
-    PSI_ASSERT((_numSets & (_numSets - 1)) == 0,
+    PSI_ASSERT(std::has_single_bit(_numSets),
                "set count must be a power of two, got ", _numSets);
+    _blockShift = static_cast<std::uint32_t>(
+        std::countr_zero(config.blockWords));
+    _setShift = static_cast<std::uint32_t>(std::countr_zero(_numSets));
+    _setMask = _numSets - 1;
     _lines.assign(_numSets * config.ways, Line{});
     _clock = 0;
     _stats = CacheStats{};
-}
-
-int
-Cache::lookup(std::uint32_t set, std::uint32_t tag) const
-{
-    for (std::uint32_t w = 0; w < _config.ways; ++w) {
-        const Line &l = line(set, static_cast<int>(w));
-        if (l.valid && l.tag == tag)
-            return static_cast<int>(w);
-    }
-    return -1;
 }
 
 int
@@ -164,81 +156,35 @@ Cache::install(std::uint32_t set, std::uint32_t tag, bool dirty,
 }
 
 std::uint64_t
-Cache::access(CacheCmd cmd, Area area, std::uint32_t paddr)
+Cache::miss(CacheCmd cmd, int a, std::uint32_t set, std::uint32_t tag,
+            int way)
 {
-    int a = static_cast<int>(area);
     int c = static_cast<int>(cmd);
-    ++_stats.accesses[a][c];
-
-    if (!_config.enabled)
-        return _config.noCacheNs;
-
-    std::uint32_t block = paddr / _config.blockWords;
-    std::uint32_t set = block % _numSets;
-    std::uint32_t tag = block / _numSets;
-
-    std::uint64_t extra = 0;
-    int way = lookup(set, tag);
-
-    switch (cmd) {
-      case CacheCmd::Read:
+    if (!_config.storeIn && cmd != CacheCmd::Read) {
+        // Store-through: memory is updated on every write; no
+        // allocation on a write miss.
+        ++_stats.throughWrites;
         if (way >= 0) {
             ++_stats.hits[a][c];
             line(set, way).lastUse = ++_clock;
-        } else {
-            extra += install(set, tag, false, true);
         }
-        break;
-
-      case CacheCmd::Write:
-        if (_config.storeIn) {
-            if (way >= 0) {
-                ++_stats.hits[a][c];
-                Line &l = line(set, way);
-                l.dirty = true;
-                l.lastUse = ++_clock;
-            } else {
-                // Write-allocate with block read-in.
-                extra += install(set, tag, true, true);
-            }
-        } else {
-            // Store-through: memory is updated on every write;
-            // no allocation on a write miss.
-            extra += _config.throughWriteNs;
-            ++_stats.throughWrites;
-            if (way >= 0) {
-                ++_stats.hits[a][c];
-                line(set, way).lastUse = ++_clock;
-            }
-        }
-        break;
-
-      case CacheCmd::WriteStack:
-        if (_config.storeIn) {
-            if (way >= 0) {
-                ++_stats.hits[a][c];
-                Line &l = line(set, way);
-                l.dirty = true;
-                l.lastUse = ++_clock;
-            } else {
-                // The specialized stack push: allocate without block
-                // read-in.  No memory transfer happens, so the access
-                // is counted as a hit.
-                ++_stats.hits[a][c];
-                ++_stats.stackAllocs;
-                extra += install(set, tag, true, false);
-            }
-        } else {
-            extra += _config.throughWriteNs;
-            ++_stats.throughWrites;
-            if (way >= 0) {
-                ++_stats.hits[a][c];
-                line(set, way).lastUse = ++_clock;
-            }
-        }
-        break;
+        return _config.throughWriteNs;
     }
-    return extra;
+    switch (cmd) {
+      case CacheCmd::Read:
+        return install(set, tag, false, true);
+      case CacheCmd::Write:
+        // Write-allocate with block read-in.
+        return install(set, tag, true, true);
+      case CacheCmd::WriteStack:
+        // The specialized stack push: allocate without block
+        // read-in.  No memory transfer happens, so the access is
+        // counted as a hit.
+        ++_stats.hits[a][c];
+        ++_stats.stackAllocs;
+        return install(set, tag, true, false);
+    }
+    return 0;
 }
 
 } // namespace psi

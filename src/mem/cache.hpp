@@ -49,7 +49,8 @@ struct CacheConfig
     std::uint32_t capacityWords = 8192;  ///< total data capacity
     std::uint32_t ways = 2;              ///< associativity ("sets" in
                                          ///< the paper's terminology)
-    std::uint32_t blockWords = 4;        ///< words per block
+    std::uint32_t blockWords = 4;        ///< words per block (a power
+                                         ///< of two)
     bool storeIn = true;                 ///< write-back vs store-through
     bool enabled = true;                 ///< false models "no cache"
 
@@ -104,14 +105,39 @@ class Cache
     explicit Cache(const CacheConfig &config);
 
     /**
-     * Perform one access.
+     * Perform one access.  The block, set and tag come from shifts
+     * and a mask (block size and set count are powers of two).  A
+     * hit that needs no memory transfer is handled inline; the rest
+     * goes to miss().
      *
      * @param cmd   Read, Write or WriteStack.
      * @param area  logical area (for the per-area statistics).
      * @param paddr physical word address.
      * @return extra nanoseconds beyond the hit-time step.
      */
-    std::uint64_t access(CacheCmd cmd, Area area, std::uint32_t paddr);
+    std::uint64_t
+    access(CacheCmd cmd, Area area, std::uint32_t paddr)
+    {
+        int a = static_cast<int>(area);
+        int c = static_cast<int>(cmd);
+        ++_stats.accesses[a][c];
+
+        if (!_config.enabled)
+            return _config.noCacheNs;
+
+        std::uint32_t block = paddr >> _blockShift;
+        std::uint32_t set = block & _setMask;
+        std::uint32_t tag = block >> _setShift;
+        int way = lookup(set, tag);
+        if (way >= 0 && (_config.storeIn || cmd == CacheCmd::Read)) {
+            ++_stats.hits[a][c];
+            Line &l = line(set, way);
+            l.dirty |= cmd != CacheCmd::Read;
+            l.lastUse = ++_clock;
+            return 0;
+        }
+        return miss(cmd, a, set, tag, way);
+    }
 
     const CacheStats &stats() const { return _stats; }
     const CacheConfig &config() const { return _config; }
@@ -136,7 +162,23 @@ class Cache
     };
 
     /** @return way index of the hit, or -1. */
-    int lookup(std::uint32_t set, std::uint32_t tag) const;
+    int
+    lookup(std::uint32_t set, std::uint32_t tag) const
+    {
+        for (std::uint32_t w = 0; w < _config.ways; ++w) {
+            const Line &l = line(set, static_cast<int>(w));
+            if (l.valid && l.tag == tag)
+                return static_cast<int>(w);
+        }
+        return -1;
+    }
+
+    /**
+     * access() for a miss, or for a store-through write (hit or
+     * not); @p way is lookup()'s answer.
+     */
+    std::uint64_t miss(CacheCmd cmd, int a, std::uint32_t set,
+                       std::uint32_t tag, int way);
 
     /** Choose a victim way in @p set (invalid first, then LRU). */
     int victimWay(std::uint32_t set) const;
@@ -159,10 +201,12 @@ class Cache
     }
 
     CacheConfig _config;
-    std::uint32_t _numSets;
+    std::uint32_t _numSets = 1;
+    std::uint32_t _blockShift = 0;  ///< log2(blockWords)
+    std::uint32_t _setShift = 0;    ///< log2(_numSets)
+    std::uint32_t _setMask = 0;     ///< _numSets - 1
     std::vector<Line> _lines;
     std::uint64_t _clock = 0;
-    std::uint64_t _pendingReadIn = 0;
     CacheStats _stats;
 };
 

@@ -7,41 +7,6 @@ MemorySystem::MemorySystem(const CacheConfig &config)
 {
 }
 
-std::uint64_t
-MemorySystem::doAccess(CacheCmd cmd, const LogicalAddr &addr,
-                       std::uint32_t paddr)
-{
-    std::uint64_t extra = _cache.access(cmd, addr.area, paddr);
-    _stallNs += extra;
-    if (_trace)
-        _trace->push_back(MemEvent{cmd, addr.area, paddr});
-    return extra;
-}
-
-TaggedWord
-MemorySystem::read(const LogicalAddr &addr)
-{
-    std::uint32_t paddr = _xlat.translate(addr);
-    doAccess(CacheCmd::Read, addr, paddr);
-    return _mem.read(paddr);
-}
-
-void
-MemorySystem::write(const LogicalAddr &addr, const TaggedWord &w)
-{
-    std::uint32_t paddr = _xlat.translate(addr);
-    doAccess(CacheCmd::Write, addr, paddr);
-    _mem.write(paddr, w);
-}
-
-void
-MemorySystem::writeStack(const LogicalAddr &addr, const TaggedWord &w)
-{
-    std::uint32_t paddr = _xlat.translate(addr);
-    doAccess(CacheCmd::WriteStack, addr, paddr);
-    _mem.write(paddr, w);
-}
-
 TaggedWord
 MemorySystem::peek(const LogicalAddr &addr)
 {

@@ -44,14 +44,35 @@ class MemorySystem final : public HeapStore
   public:
     explicit MemorySystem(const CacheConfig &config = CacheConfig::psi());
 
+    // The timed accesses are inline: the fidelity engine makes one
+    // per memory step.
+
     /** Read one word (issues a cache Read command). */
-    TaggedWord read(const LogicalAddr &addr);
+    TaggedWord
+    read(const LogicalAddr &addr)
+    {
+        std::uint32_t paddr = _xlat.translate(addr);
+        doAccess(CacheCmd::Read, addr, paddr);
+        return _mem.read(paddr);
+    }
 
     /** Write one word (cache Write command). */
-    void write(const LogicalAddr &addr, const TaggedWord &w);
+    void
+    write(const LogicalAddr &addr, const TaggedWord &w)
+    {
+        std::uint32_t paddr = _xlat.translate(addr);
+        doAccess(CacheCmd::Write, addr, paddr);
+        _mem.write(paddr, w);
+    }
 
     /** Push-style write (the PSI Write-Stack cache command). */
-    void writeStack(const LogicalAddr &addr, const TaggedWord &w);
+    void
+    writeStack(const LogicalAddr &addr, const TaggedWord &w)
+    {
+        std::uint32_t paddr = _xlat.translate(addr);
+        doAccess(CacheCmd::WriteStack, addr, paddr);
+        _mem.write(paddr, w);
+    }
 
     /**
      * Read or write without engaging the cache model or the trace.
@@ -87,8 +108,13 @@ class MemorySystem final : public HeapStore
     void reconfigure(const CacheConfig &config);
 
   private:
-    std::uint64_t doAccess(CacheCmd cmd, const LogicalAddr &addr,
-                           std::uint32_t paddr);
+    void
+    doAccess(CacheCmd cmd, const LogicalAddr &addr, std::uint32_t paddr)
+    {
+        _stallNs += _cache.access(cmd, addr.area, paddr);
+        if (_trace)
+            _trace->push_back(MemEvent{cmd, addr.area, paddr});
+    }
 
     MainMemory _mem;
     TranslationTable _xlat;

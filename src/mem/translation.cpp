@@ -3,7 +3,7 @@
 namespace psi {
 
 std::uint32_t
-TranslationTable::translate(const LogicalAddr &addr)
+TranslationTable::mapPage(const LogicalAddr &addr)
 {
     auto &table = _tables[static_cast<int>(addr.area)];
     std::uint32_t vpage = addr.offset / kPageWords;

@@ -29,9 +29,19 @@ class TranslationTable
 
     /**
      * Translate a logical address to a physical word address,
-     * allocating the page on first touch.
+     * allocating the page on first touch.  A mapped page is
+     * translated inline; growing the table and allocating the frame
+     * are left to mapPage().
      */
-    std::uint32_t translate(const LogicalAddr &addr);
+    std::uint32_t
+    translate(const LogicalAddr &addr)
+    {
+        const auto &table = _tables[static_cast<int>(addr.area)];
+        std::uint32_t vpage = addr.offset / kPageWords;
+        if (vpage < table.size() && table[vpage] != kUnmapped)
+            return table[vpage] + addr.offset % kPageWords;
+        return mapPage(addr);
+    }
 
     /** Number of pages mapped (backed by a frame) in @p area. */
     std::uint32_t pageCount(Area area) const
@@ -58,9 +68,9 @@ class TranslationTable
     /** Sentinel for a page that has never been touched. */
     static constexpr std::uint32_t kUnmapped = 0xffffffffu;
 
-  public:
+    /** translate() for a page not mapped yet. */
+    std::uint32_t mapPage(const LogicalAddr &addr);
 
-  private:
     MainMemory *_mem;
     std::array<std::vector<std::uint32_t>, kNumAreas> _tables;
 };

@@ -117,53 +117,26 @@ class Sequencer
      * issues explicitly.  The sequence cycles through a fixed
      * pattern ring whose field mix is calibrated to the paper's own
      * measurements (Tables 6 and 7); see DESIGN.md §"step texture".
+     *
+     * The steps are charged in closed form: @p n goes to the
+     * module's count and the ring position advances by @p n;
+     * stats() adds the ring's branch and work-file fields.  With a
+     * trace sink attached every step is still streamed.
      */
     void
     texture(Module m, int n)
     {
-        struct Pat
-        {
-            BranchOp b;
-            WfMode s1, s2, d;
-        };
-        static constexpr Pat ring[16] = {
-            {BranchOp::T1CondTrue, WfMode::Direct10_3F,
-             WfMode::Direct00_0F, WfMode::None},
-            {BranchOp::T2Goto, WfMode::None, WfMode::None,
-             WfMode::Direct10_3F},
-            {BranchOp::T1CondFalse, WfMode::Direct10_3F,
-             WfMode::Direct00_0F, WfMode::Direct00_0F},
-            {BranchOp::T1Nop, WfMode::Constant, WfMode::None,
-             WfMode::None},
-            {BranchOp::T1CondTrue, WfMode::None,
-             WfMode::Direct00_0F, WfMode::None},
-            {BranchOp::T2Nop, WfMode::Direct10_3F, WfMode::None,
-             WfMode::Direct10_3F},
-            {BranchOp::T1CondFalse, WfMode::None,
-             WfMode::Direct00_0F, WfMode::Direct10_3F},
-            {BranchOp::T1Gosub, WfMode::Direct10_3F, WfMode::None,
-             WfMode::None},
-            {BranchOp::T1CaseTag, WfMode::Direct10_3F,
-             WfMode::Direct00_0F, WfMode::None},
-            {BranchOp::T2Goto, WfMode::None, WfMode::None,
-             WfMode::Direct00_0F},
-            {BranchOp::T1Return, WfMode::None, WfMode::Direct00_0F,
-             WfMode::None},
-            {BranchOp::T1CondFalse, WfMode::Direct10_3F,
-             WfMode::Direct00_0F, WfMode::None},
-            {BranchOp::T1Goto, WfMode::Constant, WfMode::None,
-             WfMode::Direct10_3F},
-            {BranchOp::T2Goto, WfMode::None,
-             WfMode::Direct00_0F, WfMode::None},
-            {BranchOp::T1CondTrue, WfMode::Direct10_3F, WfMode::None,
-             WfMode::Direct10_3F},
-            {BranchOp::T1TagCmp, WfMode::Direct10_3F,
-             WfMode::Direct00_0F, WfMode::None},
-        };
-        for (int i = 0; i < n; ++i) {
-            const Pat &p = ring[_texturePos++ & 15];
-            account(m, p.b, p.s1, p.s2, p.d, -1);
+        if (n <= 0)
+            return;
+        if (_trace) {
+            for (int i = 0; i < n; ++i) {
+                const TexturePat &p =
+                    kTextureRing[(_texturePos + i) & 15];
+                emit(m, p.b, p.s1, p.s2, p.d, -1);
+            }
         }
+        _stats.moduleSteps[static_cast<int>(m)] += n;
+        _texturePos += n;
     }
 
     /** One step carrying a cache Read command. */
@@ -209,19 +182,29 @@ class Sequencer
     /** Enable/disable the Write-Stack command (default on). */
     void setWriteStackEnabled(bool v) { _writeStackEnabled = v; }
 
-    const SeqStats &stats() const { return _stats; }
+    /**
+     * The counters since the last resetStats(), with the texture
+     * steps taken since then expanded into their ring patterns'
+     * branch and work-file fields.
+     */
+    SeqStats stats() const;
+
+    /** Steps since the last resetStats(); no ring expansion. */
+    std::uint64_t totalSteps() const { return _stats.totalSteps(); }
 
     /** Elapsed model time: steps plus memory stalls. */
     std::uint64_t
     timeNs() const
     {
-        return _stats.totalSteps() * kStepNs + _mem->stallNs();
+        return totalSteps() * kStepNs + _mem->stallNs();
     }
 
+    /** Zero the counters; the ring position carries on. */
     void
     resetStats()
     {
         _stats = SeqStats{};
+        _ringBase = _texturePos;
     }
 
     /**
@@ -237,12 +220,55 @@ class Sequencer
         _stats = SeqStats{};
         _wf = WorkFile{};
         _texturePos = 0;
+        _ringBase = 0;
     }
 
     /** Stream step events to @p sink (nullptr disables). */
     void setTraceSink(std::vector<StepEvent> *sink) { _trace = sink; }
 
   private:
+    /** The fields of one texture step. */
+    struct TexturePat
+    {
+        BranchOp b;
+        WfMode s1, s2, d;
+    };
+
+    /** The texture pattern ring (DESIGN.md §"step texture"). */
+    static constexpr TexturePat kTextureRing[16] = {
+        {BranchOp::T1CondTrue, WfMode::Direct10_3F, WfMode::Direct00_0F,
+         WfMode::None},
+        {BranchOp::T2Goto, WfMode::None, WfMode::None,
+         WfMode::Direct10_3F},
+        {BranchOp::T1CondFalse, WfMode::Direct10_3F,
+         WfMode::Direct00_0F, WfMode::Direct00_0F},
+        {BranchOp::T1Nop, WfMode::Constant, WfMode::None, WfMode::None},
+        {BranchOp::T1CondTrue, WfMode::None, WfMode::Direct00_0F,
+         WfMode::None},
+        {BranchOp::T2Nop, WfMode::Direct10_3F, WfMode::None,
+         WfMode::Direct10_3F},
+        {BranchOp::T1CondFalse, WfMode::None, WfMode::Direct00_0F,
+         WfMode::Direct10_3F},
+        {BranchOp::T1Gosub, WfMode::Direct10_3F, WfMode::None,
+         WfMode::None},
+        {BranchOp::T1CaseTag, WfMode::Direct10_3F, WfMode::Direct00_0F,
+         WfMode::None},
+        {BranchOp::T2Goto, WfMode::None, WfMode::None,
+         WfMode::Direct00_0F},
+        {BranchOp::T1Return, WfMode::None, WfMode::Direct00_0F,
+         WfMode::None},
+        {BranchOp::T1CondFalse, WfMode::Direct10_3F,
+         WfMode::Direct00_0F, WfMode::None},
+        {BranchOp::T1Goto, WfMode::Constant, WfMode::None,
+         WfMode::Direct10_3F},
+        {BranchOp::T2Goto, WfMode::None, WfMode::Direct00_0F,
+         WfMode::None},
+        {BranchOp::T1CondTrue, WfMode::Direct10_3F, WfMode::None,
+         WfMode::Direct10_3F},
+        {BranchOp::T1TagCmp, WfMode::Direct10_3F, WfMode::Direct00_0F,
+         WfMode::None},
+    };
+
     void
     account(Module m, BranchOp b, WfMode s1, WfMode s2, WfMode d,
             int cache_cmd)
@@ -254,22 +280,32 @@ class Sequencer
         ++_stats.wfModes[2][static_cast<int>(d)];
         if (cache_cmd >= 0)
             ++_stats.cacheSteps[cache_cmd];
-        if (_trace) {
-            _trace->push_back(StepEvent{
-                static_cast<std::uint8_t>(m),
-                static_cast<std::uint8_t>(b),
-                static_cast<std::uint8_t>(s1),
-                static_cast<std::uint8_t>(s2),
-                static_cast<std::uint8_t>(d),
-                static_cast<std::uint8_t>(cache_cmd + 1)});
-        }
+        if (_trace)
+            emit(m, b, s1, s2, d, cache_cmd);
+    }
+
+    void
+    emit(Module m, BranchOp b, WfMode s1, WfMode s2, WfMode d,
+         int cache_cmd)
+    {
+        _trace->push_back(StepEvent{
+            static_cast<std::uint8_t>(m),
+            static_cast<std::uint8_t>(b),
+            static_cast<std::uint8_t>(s1),
+            static_cast<std::uint8_t>(s2),
+            static_cast<std::uint8_t>(d),
+            static_cast<std::uint8_t>(cache_cmd + 1)});
     }
 
     MemorySystem *_mem;
     WorkFile _wf;
+    /** Counters; texture steps only in moduleSteps (see stats()). */
     SeqStats _stats;
     std::vector<StepEvent> *_trace = nullptr;
-    unsigned _texturePos = 0;
+    /** Texture steps taken since reset(); selects the ring entry. */
+    std::uint64_t _texturePos = 0;
+    /** _texturePos at the last resetStats(). */
+    std::uint64_t _ringBase = 0;
     bool _writeStackEnabled = true;
 };
 

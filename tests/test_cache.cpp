@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.hpp"
 
 using namespace psi;
@@ -177,6 +179,38 @@ TEST(Cache, GeometryNumSets)
     EXPECT_EQ(CacheConfig::psi().numIndexSets(), 1024u);
     EXPECT_EQ(smallCache(8, 2).numIndexSets(), 1u);
     EXPECT_EQ(smallCache(4096, 1).numIndexSets(), 1024u);
+}
+
+TEST(Cache, ShiftIndexingMatchesDivision)
+{
+    // A direct-mapped cache hits exactly when the set was last filled
+    // with the same tag, so its hits show which set each address
+    // indexes.  The reference computes block, set and tag by division.
+    for (std::uint32_t words : {8u, 4096u}) {
+        CacheConfig cfg = smallCache(words, 1);
+        Cache c(cfg);
+        const std::uint32_t sets = cfg.numIndexSets();
+        std::vector<std::int64_t> resident(sets, -1);
+        std::uint32_t addr = 0, x = 12345, hits = 0;
+        for (int i = 0; i < 20000; ++i) {
+            x = x * 1103515245u + 12345u;
+            // Mostly near the last address, sometimes far away.
+            addr = (x >> 28) < 12 ? addr + ((x >> 16) & 31)
+                                  : (x >> 8) & 0xfffffu;
+            std::uint32_t block = addr / cfg.blockWords;
+            std::uint32_t set = block % sets;
+            std::int64_t tag = block / sets;
+            bool hit = resident[set] == tag;
+            resident[set] = tag;
+            hits += hit;
+            ASSERT_EQ(c.access(CacheCmd::Read, Area::Heap, addr),
+                      hit ? 0u : cfg.missReadNs)
+                << words << " words, access " << i << " at " << addr;
+        }
+        EXPECT_EQ(c.stats().totalHits(), hits);
+        EXPECT_GT(hits, 0u);
+        EXPECT_LT(hits, 20000u);
+    }
 }
 
 /** Property: hit ratio is non-decreasing with capacity on a looping

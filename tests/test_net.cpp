@@ -1005,8 +1005,11 @@ TEST(Loopback, DrainingServerRefusesNewSubmits)
 
     // Park a long job so the drain has something in flight, then
     // drain and immediately submit again on the same connection.
-    ASSERT_TRUE(
-        client.sendSubmit("bup3", 500'000'000ull, nullptr, &error))
+    // lisp_tarai runs for several hundred ms, so its 200 ms deadline
+    // sets how long it stays in flight, whatever the engine's speed;
+    // a Timeout still counts as ran().
+    ASSERT_TRUE(client.sendSubmit("lisp_tarai", 200'000'000ull, nullptr,
+                                  &error))
         << error;
     ASSERT_TRUE(client.drain(-1, &error)) << error;
     ASSERT_TRUE(client.sendSubmit("queens1", 0, nullptr, &error))

@@ -5,6 +5,60 @@
 using namespace psi;
 using namespace psi::micro;
 
+namespace {
+
+/** The counters a step trace implies, one event at a time. */
+SeqStats
+countsFromTrace(const std::vector<StepEvent> &trace)
+{
+    SeqStats s;
+    for (const StepEvent &e : trace) {
+        ++s.moduleSteps[e.module];
+        ++s.branchOps[e.branchOp];
+        ++s.wfModes[0][e.src1Mode];
+        ++s.wfModes[1][e.src2Mode];
+        ++s.wfModes[2][e.destMode];
+        if (e.hasCacheCmd != 0)
+            ++s.cacheSteps[e.hasCacheCmd - 1];
+    }
+    return s;
+}
+
+void
+expectSameCounts(const SeqStats &a, const SeqStats &b)
+{
+    EXPECT_EQ(a.moduleSteps, b.moduleSteps);
+    EXPECT_EQ(a.branchOps, b.branchOps);
+    EXPECT_EQ(a.wfModes, b.wfModes);
+    EXPECT_EQ(a.cacheSteps, b.cacheSteps);
+}
+
+/**
+ * Run @p calls on two sequencers, one with a trace sink attached
+ * after @p prefix has run, and check that the closed-form counters
+ * of both equal the counts rebuilt from the trace.
+ */
+template <typename Prefix, typename Calls>
+void
+expectClosedFormMatchesTrace(Prefix prefix, Calls calls)
+{
+    MemorySystem plainMem, tracedMem;
+    Sequencer plain(plainMem), traced(tracedMem);
+    std::vector<StepEvent> trace;
+    prefix(plain);
+    prefix(traced);
+    traced.setTraceSink(&trace);
+    calls(plain);
+    calls(traced);
+    const SeqStats rebuilt = countsFromTrace(trace);
+    expectSameCounts(plain.stats(), rebuilt);
+    expectSameCounts(traced.stats(), rebuilt);
+    EXPECT_EQ(plain.totalSteps(), trace.size());
+    EXPECT_EQ(plain.stats().totalSteps(), trace.size());
+}
+
+} // namespace
+
 TEST(Sequencer, StepCountsModuleAndBranch)
 {
     MemorySystem mem;
@@ -27,14 +81,15 @@ TEST(Sequencer, WfFieldModesTracked)
     Sequencer seq(mem);
     seq.step(Module::Built, BranchOp::T1Nop, WfMode::Constant,
              WfMode::Direct00_0F, WfMode::Direct10_3F);
-    const SeqStats &s = seq.stats();
+    const SeqStats s = seq.stats();
     EXPECT_EQ(s.wfModes[0][static_cast<int>(WfMode::Constant)], 1u);
     EXPECT_EQ(s.wfModes[1][static_cast<int>(WfMode::Direct00_0F)], 1u);
     EXPECT_EQ(s.wfModes[2][static_cast<int>(WfMode::Direct10_3F)], 1u);
     EXPECT_EQ(s.wfFieldAccesses(WfField::Source1), 1u);
     // 'None' does not count as a WF access.
     seq.step(Module::Built, BranchOp::T1Nop);
-    EXPECT_EQ(s.wfFieldAccesses(WfField::Source1), 1u);
+    EXPECT_EQ(seq.stats().wfFieldAccesses(WfField::Source1), 1u);
+    EXPECT_EQ(seq.stats().totalSteps(), 2u);
 }
 
 TEST(Sequencer, MemoryStepsCarryCacheCommands)
@@ -121,4 +176,63 @@ TEST(Sequencer, ResetStatsZeroesCounters)
     seq.texture(Module::Built, 7);
     seq.resetStats();
     EXPECT_EQ(seq.stats().totalSteps(), 0u);
+}
+
+TEST(Sequencer, TextureClosedFormMatchesStepTrace)
+{
+    // Every ring position, with runs shorter than, equal to and
+    // longer than the 16-entry ring; resetStats() leaves the ring
+    // where it was, so each start is a reset taken mid-ring.
+    for (int start = 0; start <= 16; ++start) {
+        for (int n : {1, 4, 12, 16, 17, 33}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "start " << start << ", n " << n);
+            expectClosedFormMatchesTrace(
+                [&](Sequencer &seq) {
+                    seq.texture(Module::Control, start);
+                    seq.resetStats();
+                },
+                [&](Sequencer &seq) {
+                    seq.texture(Module::Unify, n);
+                });
+        }
+    }
+}
+
+TEST(Sequencer, TextureClosedFormSurvivesMixedSteps)
+{
+    // Texture runs interleaved with explicit and memory steps, with a
+    // resetStats() in the middle of a run of texture calls.
+    expectClosedFormMatchesTrace(
+        [](Sequencer &seq) {
+            seq.texture(Module::Built, 5);
+            seq.step(Module::Cut, BranchOp::T1Goto);
+            seq.texture(Module::Built, 6);
+            seq.resetStats();
+        },
+        [](Sequencer &seq) {
+            seq.texture(Module::Unify, 17);
+            seq.step(Module::Trail, BranchOp::T1CondTrue,
+                     WfMode::IndWfar2, WfMode::None, WfMode::None);
+            seq.texture(Module::Control, 3);
+            seq.readMem(Module::Control, {Area::Heap, 0},
+                        BranchOp::T1CaseIrOpcode);
+            seq.texture(Module::GetArg, 33);
+            seq.pushMem(Module::Trail, {Area::Trail, 0},
+                        {Tag::Int, 1}, BranchOp::T3Nop);
+            seq.texture(Module::Cut, 12);
+        });
+}
+
+TEST(Sequencer, ResetRestartsTheRing)
+{
+    // reset() puts the ring back at entry 0, so a reused sequencer
+    // charges exactly what a fresh one does.
+    MemorySystem freshMem, reusedMem;
+    Sequencer fresh(freshMem), reused(reusedMem);
+    reused.texture(Module::Control, 7);
+    reused.reset();
+    fresh.texture(Module::Unify, 21);
+    reused.texture(Module::Unify, 21);
+    expectSameCounts(fresh.stats(), reused.stats());
 }
