@@ -6,7 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+
 #include "baseline/wam_machine.hpp"
+#include "kl0/compiled_program.hpp"
+#include "programs/registry.hpp"
+
+#ifndef PSI_GOLDEN_DIR
+#error "PSI_GOLDEN_DIR must name tests/golden"
+#endif
 
 using namespace psi;
 using namespace psi::baseline;
@@ -58,6 +70,46 @@ countOps(WamEngine &eng, const std::string &name,
         }
     }
     return n;
+}
+
+/**
+ * One line of tests/golden/wam_counters.txt: a registry workload run
+ * as runOnBaseline runs it, with every CostCounters field.
+ */
+std::string
+counterLine(const programs::BenchProgram &p)
+{
+    WamEngine eng;
+    eng.consult(p.source);
+    const interp::RunResult r = eng.solve(p.query);
+    const CostCounters &c = eng.counters();
+
+    std::string answers;
+    for (const auto &s : r.solutions)
+        answers += s.str() + '\n';
+    answers += r.output;
+    char hash[17];
+    std::snprintf(hash, sizeof hash, "%016llx",
+                  static_cast<unsigned long long>(
+                      kl0::CompiledProgram::hashSource(answers)));
+
+    std::ostringstream os;
+    os << p.id << " status=" << interp::runStatusName(r.status)
+       << " inferences=" << r.inferences << " steps=" << r.steps
+       << " time_ns=" << r.timeNs
+       << " solutions=" << r.solutions.size() << " answers=" << hash
+       << " ops=";
+    for (std::size_t i = 0; i < c.op.size(); ++i)
+        os << (i > 0 ? "/" : "") << c.op[i];
+    os << " tries=" << c.tries << " retries=" << c.retries
+       << " trusts=" << c.trusts << " indexes=" << c.indexes
+       << " unify_nodes=" << c.unifyNodes << " derefs=" << c.derefs
+       << " trail_ops=" << c.trailOps
+       << " builtin_calls=" << c.builtinCalls
+       << " meta_calls=" << c.metaCalls
+       << " arith_nodes=" << c.arithNodes
+       << " write_nodes=" << c.writeNodes;
+    return os.str();
 }
 
 } // namespace
@@ -222,6 +274,52 @@ TEST(WamControl, StepLimit)
     lim.maxSteps = 5000;
     auto r = eng.solve("spin", lim);
     EXPECT_TRUE(r.stepLimitHit);
+    // The limit is checked before each instruction: the run stops
+    // one instruction past it, with the model time of exactly those.
+    EXPECT_EQ(r.steps, 5001u);
+    EXPECT_EQ(r.timeNs, 14003600u);
+}
+
+/**
+ * A choice point's saved A registers outlive the choice points
+ * created and cut above it.  outer/3 is retried after neck/1's choice
+ * point was cut by a neck cut, and trusted after late/1's was cut by
+ * a cut after a call; each clause then sees the arguments of the
+ * call.  `\=` runs once with no choice point (it pushes a temporary
+ * one) and once under probe/2's open choice point; both undo their
+ * bindings.
+ */
+TEST(WamControl, ArgumentRegistersSurviveInnerCuts)
+{
+    WamEngine eng;
+    eng.consult(
+        "neck(_) :- !.\n"
+        "neck(_).\n"
+        "late(X) :- t(X), !.\n"
+        "late(_).\n"
+        "t(_).\n"
+        "outer(_, _, _) :- neck(z), fail.\n"
+        "outer(_, _, _) :- late(z), fail.\n"
+        "outer(A, B, C) :- C = r(A, B).\n"
+        "probe(V, R) :- f(V, b) \\= f(a, c), V = v, R = first.\n"
+        "probe(_, second).\n");
+    EXPECT_EQ(countOps(eng, "neck", 1, WOp::NeckCut), 1);
+    EXPECT_EQ(countOps(eng, "late", 1, WOp::CutY), 1);
+
+    auto r = eng.solve("f(W, b) \\= f(a, c), W = w, probe(V, P), "
+                       "outer(a, f(b), R)");
+    ASSERT_TRUE(r.succeeded());
+    const auto &b = r.solutions[0].bindings;
+    EXPECT_EQ(b.at("W")->str(), "w");
+    EXPECT_EQ(b.at("V")->str(), "v");
+    EXPECT_EQ(b.at("P")->str(), "first");
+    EXPECT_EQ(b.at("R")->str(), "r(a,f(b))");
+    // probe, outer, neck and late each push one choice point; outer's
+    // is retried once and trusted once, the others are cut.
+    const CostCounters &c = eng.counters();
+    EXPECT_EQ(c.tries, 4u);
+    EXPECT_EQ(c.retries, 1u);
+    EXPECT_EQ(c.trusts, 1u);
 }
 
 TEST(WamBuiltins, ArithmeticAndComparison)
@@ -280,4 +378,32 @@ TEST(WamCost, CountersFeedModel)
     EXPECT_GT(c.totalInstr(), 0u);
     EXPECT_GE(c.arithNodes, 3u);  // the +, and both leaves
     EXPECT_EQ(r.timeNs, c.timeNs(CostModel::dec2060()));
+}
+
+/**
+ * Every counter of every registry workload on the baseline is pinned
+ * in tests/golden/wam_counters.txt: Table 1's DEC column is computed
+ * from them, so no engine change may move one unnoticed.
+ */
+TEST(WamCost, CountersMatchGolden)
+{
+    std::ifstream in(PSI_GOLDEN_DIR "/wam_counters.txt");
+    std::map<std::string, std::string> golden;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (!line.empty() && line[0] != '#')
+            golden[line.substr(0, line.find(' '))] = line;
+    }
+    EXPECT_EQ(golden.size(), programs::allPrograms().size())
+        << "tests/golden/wam_counters.txt needs one line per registry "
+           "workload";
+
+    for (const auto &p : programs::allPrograms()) {
+        const std::string actual = counterLine(p);
+        auto it = golden.find(p.id);
+        if (it == golden.end() || it->second != actual) {
+            ADD_FAILURE() << "WAM counters moved; actual line:\n"
+                          << actual;
+        }
+    }
 }
