@@ -11,6 +11,9 @@
  * choice point is created only when more than one clause remains
  * after indexing - the decisive advantage over the PSI interpreter
  * on deterministic programs, per the paper's Table 1 discussion.
+ * Neither a call nor a choice point allocates: the clauses are
+ * scanned with a cursor, and each choice point saves its argument
+ * registers in one engine-wide argument stack.
  *
  * Time is modelled by the DEC-2060 cost table (cost_model.hpp);
  * results are exported as kl0 terms so tests can prove the two
@@ -69,7 +72,11 @@ class WamEngine
         std::uint32_t ny;
     };
 
-    /** Choice point. */
+    /**
+     * Choice point.  The alternatives left are pred's clauses from
+     * `next` on that the call reaches (see nextClause()); the call's
+     * A registers are saved in _argStack[argBase, argBase + argc).
+     */
     struct Choice
     {
         std::uint32_t e;
@@ -79,9 +86,12 @@ class WamEngine
         std::uint32_t cb;
         std::uint32_t envTop;
         std::uint32_t yTop;
-        std::vector<TaggedWord> args;
-        std::vector<std::uint32_t> cands;
-        std::size_t next;
+        std::uint32_t argBase;
+        std::uint32_t argc;
+        std::uint32_t next;    ///< index of the next matching clause
+        const CompiledPred *pred;
+        ClauseKey key;         ///< the call's first-argument key
+        bool unbound;          ///< first argument unbound: all clauses
     };
 
     void resetRun();
@@ -120,6 +130,8 @@ class WamEngine
     std::vector<Env> _envs;
     std::vector<TaggedWord> _yslots;
     std::vector<Choice> _cps;
+    /** Saved A registers of every choice point, bottom to top. */
+    std::vector<TaggedWord> _argStack;
     std::vector<std::uint32_t> _trail;
     std::vector<TaggedWord> _vecs;
     /** Shared registry for global_set/global_get. */
