@@ -752,6 +752,9 @@ TEST(Retry, OverloadedBackpressureRetriesUntilCapacityFrees)
     // second client.
     // Its early attempts are refused OVERLOADED; the retry loop must
     // back off and land the job once the parked work drains.
+    // lisp_tarai runs for several hundred ms, so its 300 ms deadline
+    // sets how long each parked job stays in the pool, whatever the
+    // engine's speed: the first still runs when the second queues.
     ServerHarness harness(serverConfig(1, 1));
     std::string error;
 
@@ -781,7 +784,7 @@ TEST(Retry, OverloadedBackpressureRetriesUntilCapacityFrees)
         pipeline.connect("127.0.0.1", harness.port(), &error))
         << error;
     for (std::uint64_t i = 0; i < 2; ++i) {
-        ASSERT_TRUE(pipeline.sendSubmit("bup3", 300'000'000ull,
+        ASSERT_TRUE(pipeline.sendSubmit("lisp_tarai", 300'000'000ull,
                                         nullptr, &error))
             << error;
         ASSERT_TRUE(waitForPool(1, i)) << "pool never held job " << i;
