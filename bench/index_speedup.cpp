@@ -10,9 +10,9 @@
  *  - model ns: the fidelity engine's modeled execution time (the
  *    paper's Table 1 metric).  Deterministic - same binary, same
  *    number, every run - so CI gates the polyop ratio on it.
- *  - wall us: the token-threaded fast engine's host wall-clock,
- *    best of --reps solves (default 12) on a warm engine.  Honest
- *    but noisy; reported for EXPERIMENTS.md, gated only loosely.
+ *  - wall us: the fast engine's host wall-clock, best of --reps
+ *    solves (default 12) on a warm engine.  Honest but noisy;
+ *    reported for EXPERIMENTS.md, gated only loosely.
  *
  * Workloads: polyop (26-clause dispatch predicate, the case indexing
  * exists for), setclash (cache-adversarial probe loop), nreverse30

@@ -817,7 +817,7 @@ main(int argc, char **argv)
              "pool dispatch policy: affinity (default) or fifo")
         .opt("--mode", &modeName,
              "engine execution mode: fidelity (default, full "
-             "per-step accounting) or fast (token-threaded)")
+             "per-step accounting) or fast (no accounting)")
         .opt("--tenant-quota", &tenantQuota,
              "per-tenant queued-job quota (0 = queue capacity)")
         .opt("--age-cap-ms", &ageCapMs,

@@ -1,9 +1,9 @@
 /**
  * @file
  * Flat storage and the fast engine: FlatArea segments, the Flat
- * policy's areas, image load and the token-threaded main loop over
- * the shared core.  This translation unit instantiates Core<Flat>,
- * so the loop's calls into the core can be inlined.
+ * policy's areas, and image load and run over the shared core.  This
+ * translation unit instantiates Core<Flat>, so the main loop's calls
+ * into the core can be inlined.
  */
 
 #include "fast/fast_engine.hpp"
@@ -188,7 +188,6 @@ FastEngine::load(const kl0::CompiledProgram &image)
     for (const PokeRecord &p : image.image())
         _heap.poke(p.addr, p.word);
     resetImageState();
-    _loaded = true;
 }
 
 interp::RunResult
@@ -211,186 +210,9 @@ FastEngine::solve(const kl0::TermPtr &goal, const RunLimits &limits)
 interp::RunResult
 FastEngine::run(const kl0::QueryCode &qc, const RunLimits &limits)
 {
-    _acc.resetTicks();
-    RunResult result;
-    if (startQuery(qc, limits))
-        mainLoop(qc, result, limits);
-    finishRun(result);
     // No accounting in fast mode: steps and model time stay zero.
-    return result;
-}
-
-void
-FastEngine::mainLoop(const kl0::QueryCode &qc, RunResult &result,
-                     const RunLimits &limits)
-{
-    const interp::Deadline deadline(limits.deadlineNs);
-    const FlatArea &code = _acc.area(Area::Heap);
-    std::uint32_t poll = 0;
-    TaggedWord w;
-
-#if defined(__GNUC__) || defined(__clang__)
-    // Token-threaded dispatch: the instruction tag indexes a label
-    // table directly, one indirect jump per body instruction word.
-    // Indexed by Tag value; only the six instruction tokens are
-    // executable, everything else is a corrupt-image panic.
-    static const void *const kOp[static_cast<int>(Tag::NumTags)] = {
-        &&op_bad, // Undef
-        &&op_bad, // Ref
-        &&op_bad, // Atom
-        &&op_bad, // Int
-        &&op_bad, // Nil
-        &&op_bad, // List
-        &&op_bad, // Struct
-        &&op_bad, // Functor
-        &&op_bad, // Vector
-        &&op_bad, // SkelVar
-        &&op_bad, // ClauseHeader
-        &&op_bad, // ClauseRef
-        &&op_bad, // EndClauses
-        &&op_bad, // HConst
-        &&op_bad, // HInt
-        &&op_bad, // HNil
-        &&op_bad, // HVarF
-        &&op_bad, // HVarS
-        &&op_bad, // HList
-        &&op_bad, // HStruct
-        &&op_bad, // HGroundList
-        &&op_bad, // HGroundStruct
-        &&op_bad, // HVoid
-        &&op_call,    // Call
-        &&op_call,    // CallLast
-        &&op_builtin, // CallBuiltin
-        &&op_bad, // PackedArgs
-        &&op_bad, // AConst
-        &&op_bad, // AInt
-        &&op_bad, // ANil
-        &&op_bad, // AVar
-        &&op_bad, // AVoid
-        &&op_bad, // AList
-        &&op_bad, // AStruct
-        &&op_bad, // AGroundList
-        &&op_bad, // AGroundStruct
-        &&op_bad, // AExpr
-        &&op_cut,     // CutOp
-        &&op_proceed, // Proceed
-        &&op_bad, // IndexRef
-        &&op_bad, // IndexRoot
-        &&op_bad, // IndexHash
-        &&op_is,  // CallIs
-        &&op_cmp, // CallCmp
-    };
-#define PSI_FAST_DISPATCH() goto *kOp[static_cast<int>(w.tag)]
-#else
-#define PSI_FAST_DISPATCH()                                           \
-    switch (w.tag) {                                                  \
-      case Tag::Call:                                                 \
-      case Tag::CallLast:                                             \
-        goto op_call;                                                 \
-      case Tag::CallBuiltin:                                          \
-        goto op_builtin;                                              \
-      case Tag::CallIs:                                               \
-        goto op_is;                                                   \
-      case Tag::CallCmp:                                              \
-        goto op_cmp;                                                  \
-      case Tag::CutOp:                                                \
-        goto op_cut;                                                  \
-      case Tag::Proceed:                                              \
-        goto op_proceed;                                              \
-      default:                                                        \
-        goto op_bad;                                                  \
-    }
-#endif
-
-next:
-    // maxSteps is a dispatch-count safety valve here (the fidelity
-    // engine counts microinstructions against the same field).
-    _acc.tick();
-    if (_acc.ticks() > limits.maxSteps) {
-        result.status = interp::RunStatus::StepLimit;
-        return;
-    }
-    // Wall-clock deadline, polled every 4096 dispatches so the clock
-    // read is amortized away (same granularity as the fidelity loop).
-    if (deadline.armed() && (++poll & 0xfffu) == 0 &&
-        deadline.expired()) {
-        result.status = interp::RunStatus::Timeout;
-        return;
-    }
-
-    if (_failFlag) {
-        _failFlag = false;
-        if (!backtrack())
-            return;
-        goto next;
-    }
-
-    w = code.read(_cp);
-    ++_cp;
-    PSI_FAST_DISPATCH();
-
-op_call: {
-    std::uint32_t goal_cp = _cp - 1;
-    std::uint32_t f = w.data;
-    loadArgs(_syms.functorArity(f), Module::Control);
-    if (!doCall(f, goal_cp, w.tag == Tag::CallLast))
-        _failFlag = true;
-    goto next;
-}
-
-op_builtin: {
-    auto b = static_cast<kl0::Builtin>(w.data);
-    loadArgs(kl0::builtinArity(b), Module::GetArg);
-    if (!execBuiltin(b))
-        _failFlag = true;
-    goto next;
-}
-
-op_is: {
-    loadArgs(2, Module::GetArg);
-    if (!execIs())
-        _failFlag = true;
-    goto next;
-}
-
-op_cmp: {
-    loadArgs(2, Module::GetArg);
-    if (!arithCompare(static_cast<kl0::Builtin>(w.data)))
-        _failFlag = true;
-    goto next;
-}
-
-op_cut:
-    doCut();
-    goto next;
-
-op_proceed: {
-    if (_act.contEnv == interp::kRootEnv) {
-        extractSolution(qc, result);
-        if (static_cast<int>(result.solutions.size()) >=
-            limits.maxSolutions) {
-            return;
-        }
-        _failFlag = true;
-        goto next;
-    }
-    // Determinate local-frame reclamation.
-    if (_act.frame.kind == interp::FrameLoc::Kind::Stack &&
-        _act.frame.addr + _act.nlocals == _lt &&
-        _hl <= _act.frame.addr) {
-        _lt = _act.frame.addr;
-    }
-    std::uint32_t rcp = _act.contCP;
-    restoreEnv(_act.contEnv);
-    _cp = rcp;
-    goto next;
-}
-
-op_bad:
-    panic("bad instruction word tag '", tagName(w.tag),
-          "' at heap:", _cp - 1);
-
-#undef PSI_FAST_DISPATCH
+    _acc.resetTicks();
+    return runQuery(qc, limits);
 }
 
 } // namespace fast

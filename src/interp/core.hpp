@@ -3,14 +3,14 @@
  * The KL0 engine core: the PSI interpreter firmware, written once over
  * an access policy.
  *
- * Core<Access> holds the machine registers and every firmware routine
- * except the main loops: argument loading, calls, clause trial,
- * frames, backtracking and cut (core_control.hpp), unification and
- * the trail (core_unify.hpp), the built-ins (core_builtins.hpp,
- * core_arith.hpp, core_term.hpp), process_call and the shared
- * registry (core_process.hpp), and solution export.  Each memory
- * access, microinstruction step and work-file touch goes to the
- * policy object _acc, so one set of statements drives two machines:
+ * Core<Access> holds the machine registers and every firmware routine:
+ * the main loop, argument loading, calls, clause trial, frames,
+ * backtracking and cut (core_control.hpp), unification and the trail
+ * (core_unify.hpp), the built-ins (core_builtins.hpp, core_arith.hpp,
+ * core_term.hpp), process_call and the shared registry
+ * (core_process.hpp), and solution export.  Each memory access,
+ * microinstruction step and work-file touch goes to the policy object
+ * _acc, so one set of statements drives two machines:
  *
  *  - interp::Modeled (engine.hpp) issues them through the Sequencer
  *    and MemorySystem, charging every step to its firmware module -
@@ -32,13 +32,14 @@
  *    registers, the two frame buffers and the trail buffer, at the
  *    micro::kWf* addresses;
  *  - trailBuffer(), frameBuffers(): the firmware feature switches;
- *  - ticks(), tick(): the work counter process_call's step budget
- *    reads (Modeled: microinstruction steps, which the sequencer
- *    counts; Flat: dispatches).
+ *  - ticks(), tick(): the work counter that RunLimits::maxSteps and
+ *    process_call's step budget read, and its advance once per
+ *    dispatch (Modeled: microinstruction steps, which the sequencer
+ *    counts, and tick() is empty; Flat: dispatches).
  *
  * The member definitions are in the core_*.hpp headers, included only
- * by the translation unit of each engine's main loop, so the calls
- * from the loop into the core can be inlined.
+ * by the translation unit of each engine, so the calls from the main
+ * loop into the core can be inlined.
  */
 
 #ifndef PSI_INTERP_CORE_HPP
@@ -134,13 +135,18 @@ class Core
      */
     void resetImageState();
     /**
-     * Start a query run: reset the run registers, apply the output
-     * cap and call the query predicate.  @return false when no clause
-     * of it matched (the run is over with no solution).
+     * Run a compiled query: reset the run registers, arm the limits,
+     * call the query predicate and run the main loop; the result
+     * carries the solutions, status, inference count and output.
      */
-    bool startQuery(const kl0::QueryCode &qc, const RunLimits &limits);
-    /** Move the run's inference count and output into @p result. */
-    void finishRun(RunResult &result);
+    RunResult runQuery(const kl0::QueryCode &qc, const RunLimits &limits);
+    /**
+     * The firmware main loop: fetch an instruction word and branch on
+     * its tag until @p max_solutions solutions are exported, the
+     * query fails for good or a limit ends the run (result.status).
+     */
+    void mainLoop(const kl0::QueryCode &qc, RunResult &result,
+                  int max_solutions);
     /** Load call arguments at _cp into A registers; advances _cp. */
     void loadArgs(std::uint32_t arity, Module m);
     /** Perform a user-predicate call. @return false to backtrack. */
@@ -278,7 +284,10 @@ class Core
      * the PSI.
      */
     bool builtinProcessCall();
-    /** Nested firmware loop used by process_call. */
+    /**
+     * process_call's own loop: run @p functor_idx to its first
+     * solution within @p max_ticks of work and the run's limits.
+     */
     bool runNested(std::uint32_t functor_idx, std::uint64_t max_ticks);
 
     // ----- components ---------------------------------------------------
@@ -306,6 +315,8 @@ class Core
     std::size_t _maxOutputBytes = 1 << 20;
     bool _failFlag = false;           ///< set by dispatch on failure
     bool _inProcessCall = false;      ///< nesting guard
+    RunGuard _guard;                  ///< the run's limits (runQuery)
+    RunStatus _limitHit = RunStatus::Ok; ///< a limit runNested reached
     std::vector<bool> _warnedUndefined;
     std::vector<ArithOp> _arithOps;   ///< functor idx -> operator memo
 };

@@ -1,9 +1,9 @@
 /**
  * @file
- * Core control firmware: argument loading, calls, clause trial,
- * environments, choice points, backtracking, cut and solution
- * export.  Steps are charged to the control module, argument fetches
- * to the caller's module (control or get_arg).
+ * Core control firmware: the main loop, argument loading, calls,
+ * clause trial, environments, choice points, backtracking, cut and
+ * solution export.  Steps are charged to the control module, argument
+ * fetches to the caller's module (control or get_arg).
  */
 
 #ifndef PSI_INTERP_CORE_CONTROL_HPP
@@ -33,6 +33,7 @@ Core<Access>::resetRun()
     _clauseTries = 0;
     _out.clear();
     _failFlag = false;
+    _limitHit = RunStatus::Ok;
 }
 
 template <class Access>
@@ -48,23 +49,126 @@ Core<Access>::resetImageState()
 }
 
 template <class Access>
-bool
-Core<Access>::startQuery(const kl0::QueryCode &qc,
-                         const RunLimits &limits)
+RunResult
+Core<Access>::runQuery(const kl0::QueryCode &qc, const RunLimits &limits)
 {
     resetRun();
     _maxOutputBytes = limits.maxOutputBytes;
-    return doCall(qc.functorIdx, 0, true) || backtrack();
-}
-
-template <class Access>
-void
-Core<Access>::finishRun(RunResult &result)
-{
+    _guard = RunGuard(limits);
+    RunResult result;
+    if (doCall(qc.functorIdx, 0, true) || backtrack())
+        mainLoop(qc, result, limits.maxSolutions);
     result.stepLimitHit = result.status == RunStatus::StepLimit;
     result.inferences = _inferences;
     result.output = std::move(_out);
     _out.clear();
+    return result;
+}
+
+template <class Access>
+void
+Core<Access>::mainLoop(const kl0::QueryCode &qc, RunResult &result,
+                       int max_solutions)
+{
+    // A local copy, so the limits stay in registers across the calls
+    // into the firmware; runNested checks the core's copy.
+    RunGuard guard = _guard;
+    for (;;) {
+        _acc.tick();
+        if (RunStatus st = guard.check(_acc.ticks());
+            st != RunStatus::Ok) {
+            result.status = st;
+            return;
+        }
+
+        if (_failFlag) {
+            _failFlag = false;
+            // A limit reached inside process_call failed it.
+            if (_limitHit != RunStatus::Ok) {
+                result.status = _limitHit;
+                return;
+            }
+            if (!backtrack())
+                return;
+            continue;
+        }
+
+        TaggedWord w = _acc.readMem(Module::Control,
+                                    LogicalAddr(Area::Heap, _cp),
+                                    BranchOp::T1CaseIrOpcode);
+        ++_cp;
+        _acc.texture(Module::Control, kFetchDecode);
+
+        switch (w.tag) {
+          case Tag::Call:
+          case Tag::CallLast: {
+            std::uint32_t goal_cp = _cp - 1;
+            std::uint32_t f = w.data;
+            loadArgs(_syms.functorArity(f), Module::Control);
+            if (!doCall(f, goal_cp, w.tag == Tag::CallLast))
+                _failFlag = true;
+            break;
+          }
+          case Tag::CallBuiltin: {
+            auto b = static_cast<kl0::Builtin>(w.data);
+            loadArgs(kl0::builtinArity(b), Module::GetArg);
+            if (!execBuiltin(b))
+                _failFlag = true;
+            break;
+          }
+          case Tag::CallIs: {
+            // Specialized entry: one dispatch step, none of the
+            // generic builtin staging texture.
+            loadArgs(2, Module::GetArg);
+            _acc.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf,
+                      kNoWf);
+            if (!execIs())
+                _failFlag = true;
+            break;
+          }
+          case Tag::CallCmp: {
+            loadArgs(2, Module::GetArg);
+            _acc.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf,
+                      kNoWf);
+            if (!arithCompare(static_cast<kl0::Builtin>(w.data)))
+                _failFlag = true;
+            break;
+          }
+          case Tag::CutOp:
+            doCut();
+            break;
+          case Tag::Proceed: {
+            // Return-from-clause decision step.
+            _acc.step(Module::Control, BranchOp::T1CondTrue, kScr,
+                      kScr);
+            if (_act.contEnv == kRootEnv) {
+                extractSolution(qc, result);
+                if (static_cast<int>(result.solutions.size()) >=
+                    max_solutions) {
+                    return;
+                }
+                _failFlag = true;
+                break;
+            }
+            // Determinate local-frame reclamation.
+            if (_act.frame.kind == FrameLoc::Kind::Stack &&
+                _act.frame.addr + _act.nlocals == _lt &&
+                _hl <= _act.frame.addr) {
+                _acc.step(Module::Control, BranchOp::T1CondFalse,
+                          kScr, kScr, kScr);
+                _lt = _act.frame.addr;
+            }
+            _acc.texture(Module::Control, kReturnDecode);
+            std::uint32_t rcp = _act.contCP;
+            restoreEnv(_act.contEnv);
+            _cp = rcp;
+            break;
+          }
+          default:
+            panic("bad instruction word tag '", tagName(w.tag),
+                  "' at heap:", _cp - 1);
+        }
+    }
 }
 
 template <class Access>

@@ -1,21 +1,19 @@
 /**
  * @file
- * The fidelity engine: the step-accounted main loop over the shared
- * core, plus consult, load and machine reset.  This translation unit
- * instantiates Core<Modeled>, so the loop's calls into the core can
- * be inlined.
+ * The fidelity engine: consult, load, machine reset and the run's
+ * step and model-time report over the shared core.  This translation
+ * unit instantiates Core<Modeled>, so the main loop's calls into the
+ * core can be inlined.
  */
 
 #include "interp/engine.hpp"
 
-#include "base/logging.hpp"
 #include "interp/core_arith.hpp"
 #include "interp/core_builtins.hpp"
 #include "interp/core_control.hpp"
 #include "interp/core_process.hpp"
 #include "interp/core_term.hpp"
 #include "interp/core_unify.hpp"
-#include "kl0/builtin_defs.hpp"
 #include "kl0/normalize.hpp"
 #include "kl0/reader.hpp"
 
@@ -100,117 +98,10 @@ Engine::run(const kl0::QueryCode &qc, const RunLimits &limits)
     // cover execution only.
     mem().resetStats();
     seq().resetStats();
-    RunResult result;
-    if (startQuery(qc, limits))
-        mainLoop(qc, result, limits);
-    finishRun(result);
+    RunResult result = runQuery(qc, limits);
     result.steps = seq().totalSteps();
     result.timeNs = seq().timeNs();
     return result;
-}
-
-void
-Engine::mainLoop(const kl0::QueryCode &qc, RunResult &result,
-                 const RunLimits &limits)
-{
-    const Deadline deadline(limits.deadlineNs);
-    std::uint32_t poll = 0;
-    for (;;) {
-        if (_acc.ticks() > limits.maxSteps) {
-            result.status = RunStatus::StepLimit;
-            return;
-        }
-        // Wall-clock deadline, polled every 4096 dispatches so the
-        // clock read is amortized away.
-        if (deadline.armed() && (++poll & 0xfffu) == 0 &&
-            deadline.expired()) {
-            result.status = RunStatus::Timeout;
-            return;
-        }
-
-        if (_failFlag) {
-            _failFlag = false;
-            if (!backtrack())
-                return;
-            continue;
-        }
-
-        TaggedWord w = _acc.readMem(Module::Control,
-                                    LogicalAddr(Area::Heap, _cp),
-                                    BranchOp::T1CaseIrOpcode);
-        ++_cp;
-        _acc.texture(Module::Control, kFetchDecode);
-
-        switch (w.tag) {
-          case Tag::Call:
-          case Tag::CallLast: {
-            std::uint32_t goal_cp = _cp - 1;
-            std::uint32_t f = w.data;
-            loadArgs(_syms.functorArity(f), Module::Control);
-            if (!doCall(f, goal_cp, w.tag == Tag::CallLast))
-                _failFlag = true;
-            break;
-          }
-          case Tag::CallBuiltin: {
-            auto b = static_cast<kl0::Builtin>(w.data);
-            loadArgs(kl0::builtinArity(b), Module::GetArg);
-            if (!execBuiltin(b))
-                _failFlag = true;
-            break;
-          }
-          case Tag::CallIs: {
-            // Specialized entry: one dispatch step, none of the
-            // generic builtin staging texture.
-            loadArgs(2, Module::GetArg);
-            _acc.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf,
-                      kNoWf);
-            if (!execIs())
-                _failFlag = true;
-            break;
-          }
-          case Tag::CallCmp: {
-            loadArgs(2, Module::GetArg);
-            _acc.step(Module::Built, BranchOp::T1GotoJr, kScr, kNoWf,
-                      kNoWf);
-            if (!arithCompare(static_cast<kl0::Builtin>(w.data)))
-                _failFlag = true;
-            break;
-          }
-          case Tag::CutOp:
-            doCut();
-            break;
-          case Tag::Proceed: {
-            // Return-from-clause decision step.
-            _acc.step(Module::Control, BranchOp::T1CondTrue, kScr,
-                      kScr);
-            if (_act.contEnv == kRootEnv) {
-                extractSolution(qc, result);
-                if (static_cast<int>(result.solutions.size()) >=
-                    limits.maxSolutions) {
-                    return;
-                }
-                _failFlag = true;
-                break;
-            }
-            // Determinate local-frame reclamation.
-            if (_act.frame.kind == FrameLoc::Kind::Stack &&
-                _act.frame.addr + _act.nlocals == _lt &&
-                _hl <= _act.frame.addr) {
-                _acc.step(Module::Control, BranchOp::T1CondFalse,
-                          kScr, kScr, kScr);
-                _lt = _act.frame.addr;
-            }
-            _acc.texture(Module::Control, kReturnDecode);
-            std::uint32_t rcp = _act.contCP;
-            restoreEnv(_act.contEnv);
-            _cp = rcp;
-            break;
-          }
-          default:
-            panic("bad instruction word tag '", tagName(w.tag),
-                  "' at heap:", _cp - 1);
-        }
-    }
 }
 
 } // namespace interp

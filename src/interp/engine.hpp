@@ -12,11 +12,12 @@
  * Every firmware action is issued through the sequencer, so the
  * statistics behind the paper's Tables 2-7 are measured from the work
  * the model actually performs.  The firmware itself lives in the
- * shared core, split by firmware module: core_control.hpp (control),
- * core_unify.hpp (unification, trail), core_builtins.hpp,
- * core_arith.hpp, core_term.hpp and core_process.hpp (built-ins,
- * get_arg).  The fast engine (src/fast/) runs the same core on flat
- * storage with the accounting compiled out.
+ * shared core, split by firmware module: core_control.hpp (the main
+ * loop and control), core_unify.hpp (unification, trail),
+ * core_builtins.hpp, core_arith.hpp, core_term.hpp and
+ * core_process.hpp (built-ins, get_arg).  The fast engine (src/fast/)
+ * runs the same core on flat storage with the accounting compiled
+ * out.
  */
 
 #ifndef PSI_INTERP_ENGINE_HPP
@@ -212,9 +213,6 @@ class Engine : public Core<Modeled>
 
   private:
     RunResult run(const kl0::QueryCode &qc, const RunLimits &limits);
-    /** Sets result.status when a limit ends the run early. */
-    void mainLoop(const kl0::QueryCode &qc, RunResult &result,
-                  const RunLimits &limits);
 
     kl0::CodeGen _codegen;
 };

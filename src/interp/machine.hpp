@@ -154,9 +154,10 @@ struct RunLimits
     std::size_t maxOutputBytes = 1 << 20;
     /**
      * Wall-clock execution budget in host nanoseconds; 0 = unlimited.
-     * Checked periodically in the engine main loops, so a runaway
-     * query returns RunStatus::Timeout with partial statistics
-     * instead of wedging its caller (or a psid pool worker).
+     * Checked periodically in the engine loops, process_call's
+     * included, so a runaway query returns RunStatus::Timeout with
+     * partial statistics instead of wedging its caller (or a psid
+     * pool worker).
      */
     std::uint64_t deadlineNs = 0;
 };
@@ -177,9 +178,9 @@ const char *runStatusName(RunStatus s);
  *
  * Fidelity is the microcoded interpreter whose sequencer drives the
  * paper's model clock and cache statistics (Tables 2-7). Fast is the
- * token-threaded flat-dispatch engine (src/fast/): byte-identical
- * answers and output, no per-step accounting (steps and model time
- * report as zero).
+ * same firmware on flat storage (src/fast/): byte-identical answers
+ * and output, no per-step accounting (steps and model time report as
+ * zero).
  */
 enum class ExecMode : std::uint8_t
 {
@@ -193,11 +194,10 @@ const char *execModeName(ExecMode m);
 /**
  * Armed wall-clock deadline for RunLimits::deadlineNs.
  *
- * Constructed at run entry; the engine main loops poll expired()
- * every few thousand iterations, so the check costs one clock read
- * amortized over ~1 ms of host work and never perturbs the model
- * statistics (the model clock is driven by microsteps, not host
- * time).
+ * Constructed at run entry; RunGuard polls expired() every few
+ * thousand dispatches, so the check costs one clock read amortized
+ * over ~1 ms of host work and never perturbs the model statistics
+ * (the model clock is driven by microsteps, not host time).
  */
 class Deadline
 {
@@ -220,6 +220,40 @@ class Deadline
   private:
     bool _armed;
     std::chrono::steady_clock::time_point _expiry;
+};
+
+/**
+ * The limits that end a run early: RunLimits::maxSteps against the
+ * engine's work counter, and the wall-clock deadline, whose clock is
+ * read once per 4096 checks.  Armed once per run; every engine loop
+ * calls check() once per dispatch.
+ */
+class RunGuard
+{
+  public:
+    RunGuard() : RunGuard(RunLimits{}) {}
+    explicit RunGuard(const RunLimits &limits)
+        : _maxSteps(limits.maxSteps), _deadline(limits.deadlineNs)
+    {}
+
+    /** The limit the run has reached after @p steps units of work,
+     *  or RunStatus::Ok. */
+    RunStatus
+    check(std::uint64_t steps)
+    {
+        if (steps > _maxSteps)
+            return RunStatus::StepLimit;
+        if (_deadline.armed() && (++_poll & 0xfffu) == 0 &&
+            _deadline.expired()) {
+            return RunStatus::Timeout;
+        }
+        return RunStatus::Ok;
+    }
+
+  private:
+    std::uint64_t _maxSteps;
+    Deadline _deadline;
+    std::uint32_t _poll = 0;
 };
 
 /** One solution: bindings of the named query variables. */

@@ -4,8 +4,8 @@
  *
  * Components:
  *  - interp::Engine        the microprogrammed PSI interpreter
- *  - fast::FastEngine      psifast - token-threaded fast execution
- *                          mode (byte-identical answers, no
+ *  - fast::FastEngine      psifast - the same firmware on flat
+ *                          storage (byte-identical answers, no
  *                          per-step hardware accounting)
  *  - baseline::WamEngine   the DEC-10-compiled-code stand-in
  *  - programs::            the paper's benchmark workloads

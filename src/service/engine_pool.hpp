@@ -82,8 +82,8 @@ struct QueryJob
     std::string tenant = {};
     /** Execution mode.  Fidelity runs the microcoded interpreter and
      *  fills the hardware statistics (the paper's Tables 2-7); Fast
-     *  runs the token-threaded flat-dispatch engine, byte-identical
-     *  in answers but reporting zero steps/model-time/cache stats. */
+     *  runs the same firmware on flat storage, byte-identical in
+     *  answers but reporting zero steps/model-time/cache stats. */
     interp::ExecMode mode = interp::ExecMode::Fidelity;
     /** Image compile options (first-argument indexing, builtin
      *  specialization).  Folded into the program-cache key, so jobs

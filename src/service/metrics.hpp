@@ -54,7 +54,7 @@ struct WorkerMetrics
     /** @name Per-execution-mode split of `completed` */
     /// @{
     std::uint64_t jobsFidelity = 0; ///< microcoded interpreter runs
-    std::uint64_t jobsFast = 0;     ///< token-threaded fast runs
+    std::uint64_t jobsFast = 0;     ///< flat-storage fast runs
     /// @}
 
     std::uint64_t inferences = 0;  ///< user-predicate calls

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fast/fast_engine.hpp"
 #include "interp/engine.hpp"
+#include "kl0/compiled_program.hpp"
 
 using namespace psi;
 using namespace psi::interp;
@@ -180,6 +182,17 @@ TEST(EngineControl, StepLimitStopsRunaway)
     lim.maxSteps = 20000;
     auto r = eng.solve("spin", lim);
     EXPECT_FALSE(r.succeeded());
+    EXPECT_TRUE(r.stepLimitHit);
+
+    // Fast mode counts dispatches against the same limit.  The
+    // deadline is a backstop: a loop that stopped counting them would
+    // end in Timeout here instead of hanging the suite.
+    fast::FastEngine fe;
+    fe.load(kl0::CompiledProgram::compile("spin :- spin."));
+    lim.deadlineNs = 10'000'000'000;
+    r = fe.solve("spin", lim);
+    EXPECT_FALSE(r.succeeded());
+    EXPECT_EQ(r.status, RunStatus::StepLimit);
     EXPECT_TRUE(r.stepLimitHit);
 }
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * psifast differential suite: the token-threaded fast engine must be
- * byte-identical to the fidelity interpreter in everything a client
- * can observe - solution bindings (including generated _G variable
- * names, which encode allocation order), printed output, inference
- * counts and termination status - while reporting zero for the
- * hardware accounting it skips.
+ * psifast differential suite: the fast engine (the shared firmware on
+ * flat storage) must be byte-identical to the fidelity interpreter in
+ * everything a client can observe - solution bindings (including
+ * generated _G variable names, which encode allocation order),
+ * printed output, inference counts and termination status - while
+ * reporting zero for the hardware accounting it skips.
  *
  * Covered paths:
  *  - direct FastEngine::load/solve vs runOnPsi, full registry

@@ -2,8 +2,11 @@
  * @file
  * Multi-process support (paper §2.1): process_call/2 runs an arity-0
  * predicate in another process's stack areas; the heap (and the
- * global registry) is shared; machine state survives the switch.
+ * global registry) is shared; machine state survives the switch; the
+ * run's limits hold inside it.
  */
+
+#include <chrono>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,31 @@ run(const std::string &program, const std::string &query, int max = 10)
     RunLimits lim;
     lim.maxSolutions = max;
     return eng.solve(query, lim);
+}
+
+/** A process_call whose target never returns. */
+const char *kSpinInProcess = "spin :- spin.\n"
+                             "p :- process_call(1, spin).";
+
+/** The run's deadline and step limit end the query @p solve runs
+ *  promptly, though all its work is inside process_call. */
+template <class Solve>
+void
+expectLimitsHold(const char *engine, Solve solve)
+{
+    RunLimits deadline;
+    deadline.deadlineNs = 50'000'000;
+    auto t0 = std::chrono::steady_clock::now();
+    RunResult r = solve(deadline);
+    auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(r.status, RunStatus::Timeout) << engine;
+    EXPECT_LT(elapsed, std::chrono::seconds(1)) << engine;
+
+    RunLimits steps;
+    steps.maxSteps = 100'000;
+    r = solve(steps);
+    EXPECT_EQ(r.status, RunStatus::StepLimit) << engine;
+    EXPECT_LT(r.inferences, 200'000u) << engine;
 }
 
 } // namespace
@@ -160,4 +188,25 @@ TEST(ProcessCall, EnginesAgreeOnWindowWorkloads)
         EXPECT_EQ(ra.succeeded(), rb.succeeded()) << id;
         EXPECT_EQ(ra.output, rb.output) << id;
     }
+}
+
+TEST(ProcessCall, RunLimitsHoldInsideProcessCall)
+{
+    Engine psi;
+    psi.consult(kSpinInProcess);
+    expectLimitsHold("fidelity", [&](const RunLimits &lim) {
+        return psi.solve("p", lim);
+    });
+
+    fast::FastEngine fe;
+    fe.load(kl0::CompiledProgram::compile(kSpinInProcess));
+    expectLimitsHold("fast", [&](const RunLimits &lim) {
+        return fe.solve("p", lim);
+    });
+
+    baseline::WamEngine wam;
+    wam.consult(kSpinInProcess);
+    expectLimitsHold("wam baseline", [&](const RunLimits &lim) {
+        return wam.solve("p", lim);
+    });
 }
