@@ -48,8 +48,9 @@ main(int argc, char **argv)
                               : 0)
                       << (r.status == interp::RunStatus::Ok
                               ? ""
-                              : r.stepLimitHit ? " STEP-LIMIT"
-                                               : " TIMEOUT")
+                              : r.status == interp::RunStatus::StepLimit
+                                  ? " STEP-LIMIT"
+                                  : " TIMEOUT")
                       << "\n";
             if (r.succeeded() && !r.solutions[0].bindings.empty()) {
                 std::cout << "    " << r.solutions[0].str().substr(0, 120)

@@ -595,7 +595,6 @@ WamEngine::run(const WamQuery &q, const interp::RunLimits &limits)
         if (interp::RunStatus st = guard.check(steps);
             st != interp::RunStatus::Ok) {
             result.status = st;
-            result.stepLimitHit = st == interp::RunStatus::StepLimit;
             break;
         }
         if (_failFlag) {

@@ -1,9 +1,8 @@
 /**
  * @file
- * Flat storage and the fast engine: FlatArea segments, the Flat
- * policy's areas, and image load and run over the shared core.  This
- * translation unit instantiates Core<Flat>, so the main loop's calls
- * into the core can be inlined.
+ * Flat storage for the fast engine: FlatArea segments and the Flat
+ * policy's areas and reset.  This translation unit instantiates
+ * Core<Flat>, so the main loop's calls into the core can be inlined.
  */
 
 #include "fast/fast_engine.hpp"
@@ -21,7 +20,6 @@
 #include "interp/core_process.hpp"
 #include "interp/core_term.hpp"
 #include "interp/core_unify.hpp"
-#include "kl0/reader.hpp"
 
 template class psi::interp::Core<psi::fast::Flat>;
 
@@ -163,56 +161,19 @@ Flat::Flat()
             FlatArea(processWindowBases()),
             FlatArea(processWindowBases()),
             FlatArea(processWindowBases()),
-            FlatArea(processWindowBases())}
+            FlatArea(processWindowBases())},
+      _heap(area(Area::Heap))
 {
     static_assert(kNumAreas == 5 && static_cast<int>(Area::Heap) == 0,
                   "one FlatArea per logical area, heap first");
 }
 
-FastEngine::FastEngine()
-    : _heap(_acc.area(Area::Heap)), _codegen(_heap, _syms)
-{}
-
 void
-FastEngine::load(const kl0::CompiledProgram &image)
+Flat::reset()
 {
     _heap.clear();
     for (int a = 1; a < kNumAreas; ++a)
-        _acc.area(static_cast<Area>(a)).clear();
-    _syms = image.symbols();
-    _codegen.restore(image.codegen());
-    // Query code compiled against this image must use the same
-    // compile options (a $queryN/0 predicate is never indexed, but
-    // the builtin specialization must agree with the image).
-    _codegen.setOptions(image.options());
-    for (const PokeRecord &p : image.image())
-        _heap.poke(p.addr, p.word);
-    resetImageState();
-}
-
-interp::RunResult
-FastEngine::solve(const std::string &query_text,
-                  const RunLimits &limits)
-{
-    return solve(kl0::parseTerm(query_text), limits);
-}
-
-interp::RunResult
-FastEngine::solve(const kl0::TermPtr &goal, const RunLimits &limits)
-{
-    // The shared CodeGen emits into the flat heap, so the query code,
-    // clause table and directory entry land at the same logical
-    // addresses the fidelity engine executes from.
-    kl0::QueryCode qc = _codegen.compileQuery(goal);
-    return run(qc, limits);
-}
-
-interp::RunResult
-FastEngine::run(const kl0::QueryCode &qc, const RunLimits &limits)
-{
-    // No accounting in fast mode: steps and model time stay zero.
-    _acc.resetTicks();
-    return runQuery(qc, limits);
+        _area[a].clear();
 }
 
 } // namespace fast

@@ -3,17 +3,18 @@
  * The fast (non-accounting) KL0 execution engine: the engine core
  * (interp/core.hpp) on the Flat access policy.
  *
- * The firmware - the main loop, unification, clause trial, choice
- * points, the built-ins, process_call, solution export - is the
- * fidelity engine's own code, shared through interp::Core; only how a
- * word is stored and whether a step is charged differ.  Flat keeps
- * each logical area in contiguous flat segments (FlatArea) replayed
- * from the immutable kl0::CompiledProgram, its A registers and frame
- * buffers in a plain array, and its trail on the flat trail stack
- * (the trail-buffer ablation's layout, which puts every entry at the
- * same logical position); every sequencer call is an empty inline
- * function.  Queries are compiled by the shared kl0::CodeGen straight
- * into the flat heap (FlatHeap).
+ * The firmware - image load, query solve, the main loop, unification,
+ * clause trial, choice points, the built-ins, process_call, solution
+ * export - is the fidelity engine's own code, shared through
+ * interp::Core; only how a word is stored and whether a step is
+ * charged differ.  Flat keeps each logical area in contiguous flat
+ * segments (FlatArea) replayed from the immutable
+ * kl0::CompiledProgram, its A registers and frame buffers in a plain
+ * array, and its trail on the flat trail stack (the trail-buffer
+ * ablation's layout, which puts every entry at the same logical
+ * position); every sequencer call is an empty inline function.
+ * Queries are compiled by the shared kl0::CodeGen straight into the
+ * flat heap (FlatHeap).
  *
  * Answers, solution order, write/nl/tab output and warnings are
  * therefore byte-identical to interp::Engine under the default
@@ -35,14 +36,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "interp/core.hpp"
 #include "interp/machine.hpp"
-#include "kl0/codegen.hpp"
-#include "kl0/compiled_program.hpp"
-#include "kl0/symbols.hpp"
 #include "mem/area.hpp"
 #include "mem/heap_store.hpp"
 #include "mem/tagged_word.hpp"
@@ -196,8 +193,23 @@ class Flat
     using WfMode = micro::WfMode;
 
     Flat();
+    // The heap store points at the heap area.
+    Flat(const Flat &) = delete;
+    Flat &operator=(const Flat &) = delete;
 
     FlatArea &area(Area a) { return _area[static_cast<int>(a)]; }
+
+    FlatHeap &heap() { return _heap; }
+    /**
+     * Reset what the previous image and its queries wrote: the heap
+     * words they poked and each stack area below its high-water
+     * marks.  The cost follows what the previous request touched,
+     * not what the engine ever allocated.
+     */
+    void reset();
+    /** No accounting in fast mode: steps and model time stay zero. */
+    void startRun() { _dispatches = 0; }
+    void finishRun(interp::RunResult &) const {}
 
     // Every member the core calls is forced inline, so no inliner
     // budget can make an accounting call or a word access cost a call.
@@ -257,10 +269,10 @@ class Flat
         return _dispatches;
     }
     [[gnu::always_inline]] void tick() { ++_dispatches; }
-    void resetTicks() { _dispatches = 0; }
 
   private:
     FlatArea _area[kNumAreas];
+    FlatHeap _heap;  ///< the heap area as the code generator's store
     /** Work-file words up to the trail buffer (A registers, frame
      *  buffers), at their micro::kWf* addresses. */
     TaggedWord _wf[micro::kWfTrailBuf + micro::kWfTrailBufWords] = {};
@@ -269,43 +281,7 @@ class Flat
 
 /** The KL0 engine on flat storage, with no accounting. */
 class FastEngine : public interp::Core<Flat>
-{
-  public:
-    FastEngine();
-    // The heap store and the code generator point into the engine.
-    FastEngine(const FastEngine &) = delete;
-    FastEngine &operator=(const FastEngine &) = delete;
-
-    /**
-     * Install a precompiled image: reset what the previous image and
-     * its queries wrote (the heap words they poked, each area below
-     * its high-water marks), replay the image's poke log into the
-     * flat heap and adopt its symbol table and codegen snapshot, as
-     * interp::Engine::load does for the firmware machine.  The cost
-     * follows what the previous request touched, not what the
-     * engine ever allocated.
-     */
-    void load(const kl0::CompiledProgram &image);
-
-    /** Compile and run a query given as text. */
-    interp::RunResult solve(const std::string &query_text,
-                            const interp::RunLimits &limits =
-                                interp::RunLimits());
-
-    /** Compile and run a query term. */
-    interp::RunResult solve(const kl0::TermPtr &goal,
-                            const interp::RunLimits &limits =
-                                interp::RunLimits());
-
-  private:
-    using RunLimits = interp::RunLimits;
-    using RunResult = interp::RunResult;
-
-    RunResult run(const kl0::QueryCode &qc, const RunLimits &limits);
-
-    FlatHeap _heap;  ///< the heap FlatArea as the code generator's store
-    kl0::CodeGen _codegen;
-};
+{};
 
 } // namespace fast
 } // namespace psi

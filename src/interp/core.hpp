@@ -3,8 +3,9 @@
  * The KL0 engine core: the PSI interpreter firmware, written once over
  * an access policy.
  *
- * Core<Access> holds the machine registers and every firmware routine:
- * the main loop, argument loading, calls, clause trial, frames,
+ * Core<Access> holds the machine registers, the symbol table, the code
+ * generator and every firmware routine: image load, query solve, the
+ * main loop, argument loading, calls, clause trial, frames,
  * backtracking and cut (core_control.hpp), unification and the trail
  * (core_unify.hpp), the built-ins (core_builtins.hpp, core_arith.hpp,
  * core_term.hpp), process_call and the shared registry
@@ -32,10 +33,18 @@
  *    registers, the two frame buffers and the trail buffer, at the
  *    micro::kWf* addresses;
  *  - trailBuffer(), frameBuffers(): the firmware feature switches;
- *  - ticks(), tick(): the work counter that RunLimits::maxSteps and
- *    process_call's step budget read, and its advance once per
- *    dispatch (Modeled: microinstruction steps, which the sequencer
- *    counts, and tick() is empty; Flat: dispatches).
+ *  - ticks(), tick(): the work counter that RunLimits::maxSteps
+ *    reads, and its advance once per dispatch (Modeled:
+ *    microinstruction steps, which the sequencer counts, and tick()
+ *    is empty; Flat: dispatches);
+ *  - heap(): the heap as the store the code generator emits into and
+ *    an image load replays into, as its concrete final type so those
+ *    pokes are direct calls;
+ *  - reset(): the storage back to its just-constructed state, before
+ *    an image load;
+ *  - startRun(), finishRun(result): the bookkeeping around one query
+ *    run (Modeled: zero the statistics, then report steps and model
+ *    time).
  *
  * The member definitions are in the core_*.hpp headers, included only
  * by the translation unit of each engine, so the calls from the main
@@ -53,6 +62,7 @@
 #include "interp/machine.hpp"
 #include "kl0/builtin_defs.hpp"
 #include "kl0/codegen.hpp"
+#include "kl0/compiled_program.hpp"
 #include "kl0/symbols.hpp"
 #include "micro/fields.hpp"
 #include "micro/work_file.hpp"
@@ -65,6 +75,33 @@ template <class Access>
 class Core
 {
   public:
+    // The code generator points into the core.
+    Core(const Core &) = delete;
+    Core &operator=(const Core &) = delete;
+
+    /**
+     * Install a precompiled image into a fully reset machine: reset
+     * the storage, adopt the image's symbol table, codegen snapshot
+     * and compile options (query code compiled against the image must
+     * agree with it), and replay its heap stores in emission order.
+     *
+     * Equivalent to a fresh engine consulting the image's source -
+     * answers and, on the fidelity engine, every hardware statistic
+     * are byte-identical, because the replay touches pages exactly as
+     * the original compile did - without paying parse, normalize and
+     * codegen on this thread.  This is the warm-engine hot path of
+     * the psid worker loop.
+     */
+    void load(const kl0::CompiledProgram &image);
+
+    /** Compile and run a query given as text, e.g. "append(X,Y,[1])". */
+    RunResult solve(const std::string &query_text,
+                    const RunLimits &limits = RunLimits());
+
+    /** Compile and run a query term. */
+    RunResult solve(const kl0::TermPtr &goal,
+                    const RunLimits &limits = RunLimits());
+
     /** @name Per-run first-argument-index counters
      * Calls dispatched through an index (bound first argument) vs
      * falling back to the linear chain (unbound or uncovered tag),
@@ -83,7 +120,8 @@ class Core
     using WfMode = micro::WfMode;
 
     template <class... Args>
-    explicit Core(Args &&...args) : _acc(std::forward<Args>(args)...)
+    explicit Core(Args &&...args)
+        : _acc(std::forward<Args>(args)...), _codegen(_acc.heap(), _syms)
     {}
 
     static constexpr auto kScr = WfMode::Direct00_0F;
@@ -130,14 +168,14 @@ class Core
     /**
      * Forget what the previous image left behind (vector space,
      * output cap, process-call guard, the per-functor memos) and
-     * reset the run registers; the engine's load() installs the new
-     * symbol table and code.
+     * reset the run registers.
      */
     void resetImageState();
     /**
-     * Run a compiled query: reset the run registers, arm the limits,
-     * call the query predicate and run the main loop; the result
-     * carries the solutions, status, inference count and output.
+     * Run a compiled query: start the policy's run bookkeeping, reset
+     * the run registers, arm the limits, call the query predicate and
+     * run the main loop; the result carries the solutions, status,
+     * inference count and output, and the policy's run report.
      */
     RunResult runQuery(const kl0::QueryCode &qc, const RunLimits &limits);
     /**
@@ -286,13 +324,14 @@ class Core
     bool builtinProcessCall();
     /**
      * process_call's own loop: run @p functor_idx to its first
-     * solution within @p max_ticks of work and the run's limits.
+     * solution within the run's limits.
      */
-    bool runNested(std::uint32_t functor_idx, std::uint64_t max_ticks);
+    bool runNested(std::uint32_t functor_idx);
 
     // ----- components ---------------------------------------------------
     Access _acc;            ///< storage and accounting
     kl0::SymbolTable _syms;
+    kl0::CodeGen _codegen;  ///< emits into _acc.heap()
 
     // ----- machine registers (conceptually WF scratch) -----------------
     std::uint32_t _gt = kStackBase;   ///< global stack top

@@ -1,9 +1,10 @@
 /**
  * @file
- * Core control firmware: the main loop, argument loading, calls,
- * clause trial, environments, choice points, backtracking, cut and
- * solution export.  Steps are charged to the control module, argument
- * fetches to the caller's module (control or get_arg).
+ * Core control firmware: image load and query solve, the main loop,
+ * argument loading, calls, clause trial, environments, choice points,
+ * backtracking, cut and solution export.  Steps are charged to the
+ * control module, argument fetches to the caller's module (control or
+ * get_arg).
  */
 
 #ifndef PSI_INTERP_CORE_CONTROL_HPP
@@ -11,9 +12,37 @@
 
 #include "base/logging.hpp"
 #include "interp/core.hpp"
+#include "kl0/reader.hpp"
 
 namespace psi {
 namespace interp {
+
+template <class Access>
+void
+Core<Access>::load(const kl0::CompiledProgram &image)
+{
+    _acc.reset();
+    _syms = image.symbols();
+    _codegen.restore(image.codegen());
+    _codegen.setOptions(image.options());
+    for (const PokeRecord &p : image.image())
+        _acc.heap().poke(p.addr, p.word);
+    resetImageState();
+}
+
+template <class Access>
+RunResult
+Core<Access>::solve(const std::string &query_text, const RunLimits &limits)
+{
+    return solve(kl0::parseTerm(query_text), limits);
+}
+
+template <class Access>
+RunResult
+Core<Access>::solve(const kl0::TermPtr &goal, const RunLimits &limits)
+{
+    return runQuery(_codegen.compileQuery(goal), limits);
+}
 
 template <class Access>
 void
@@ -52,16 +81,19 @@ template <class Access>
 RunResult
 Core<Access>::runQuery(const kl0::QueryCode &qc, const RunLimits &limits)
 {
+    // After the query compile, so a run's statistics cover its
+    // execution only.
+    _acc.startRun();
     resetRun();
     _maxOutputBytes = limits.maxOutputBytes;
     _guard = RunGuard(limits);
     RunResult result;
     if (doCall(qc.functorIdx, 0, true) || backtrack())
         mainLoop(qc, result, limits.maxSolutions);
-    result.stepLimitHit = result.status == RunStatus::StepLimit;
     result.inferences = _inferences;
     result.output = std::move(_out);
     _out.clear();
+    _acc.finishRun(result);
     return result;
 }
 

@@ -76,8 +76,7 @@ Core<Access>::builtinGlobal(kl0::Builtin b)
 // branch on its caller.
 template <class Access>
 bool
-Core<Access>::runNested(std::uint32_t functor_idx,
-                        std::uint64_t max_ticks)
+Core<Access>::runNested(std::uint32_t functor_idx)
 {
     bool ok = doCall(functor_idx, 0, true);
     if (!ok)
@@ -85,16 +84,11 @@ Core<Access>::runNested(std::uint32_t functor_idx,
     if (!ok)
         return false;
 
-    std::uint64_t start = _acc.ticks();
     for (;;) {
-        if (_acc.ticks() - start > max_ticks) {
-            warn("process_call: step budget exhausted");
-            return false;
-        }
         _acc.tick();
-        // The run's own limits hold in here too: one reached fails
-        // the process_call, and mainLoop reports it on its failure
-        // path.
+        // The run's limits are this loop's only bound: one reached
+        // fails the process_call, and mainLoop reports it on its
+        // failure path.
         if (RunStatus st = _guard.check(_acc.ticks());
             st != RunStatus::Ok) {
             _limitHit = st;
@@ -242,7 +236,7 @@ Core<Access>::builtinProcessCall()
     _act.globalBase = _gt;
     _inProcessCall = true;
 
-    bool ok = runNested(f, 200'000'000);
+    bool ok = runNested(f);
 
     // ---- switch back -------------------------------------------------
     _inProcessCall = false;

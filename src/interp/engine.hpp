@@ -75,8 +75,29 @@ class Modeled
     Modeled(const Modeled &) = delete;
     Modeled &operator=(const Modeled &) = delete;
 
-    MemorySystem &mem() { return _mem; }
+    MemorySystem &heap() { return _mem; }
     micro::Sequencer &seq() { return _seq; }
+
+    /** Memory contents and mappings, cache residency, work file,
+     *  texture ring and statistics, as just constructed. */
+    void
+    reset()
+    {
+        _mem.reset();
+        _seq.reset();
+    }
+    void
+    startRun()
+    {
+        _mem.resetStats();
+        _seq.resetStats();
+    }
+    void
+    finishRun(RunResult &result) const
+    {
+        result.steps = _seq.totalSteps();
+        result.timeNs = _seq.timeNs();
+    }
 
     void
     step(Module m, BranchOp b, WfMode s1 = WfMode::None,
@@ -148,6 +169,12 @@ class Engine : public Core<Modeled>
     /** Load (normalize + compile) a program into the heap image. */
     void load(const kl0::Program &program);
 
+    using Core::load;
+
+    /** Core::load, first re-configuring the cache model for this run. */
+    void load(const kl0::CompiledProgram &image,
+              const CacheConfig &cache);
+
     /**
      * Consult @p text.  On a fresh machine this routes through the
      * single compile entry point, CompiledProgram::compile, and
@@ -165,56 +192,13 @@ class Engine : public Core<Modeled>
     {
         _codegen.setOptions(opts);
     }
-    const kl0::CompileOptions &compileOptions() const
-    {
-        return _codegen.options();
-    }
-
-    /**
-     * Install a precompiled image into a fully reset machine.
-     *
-     * Equivalent to constructing a fresh Engine and consulting the
-     * image's source - results and every hardware statistic are
-     * byte-identical (the image replays its heap stores in emission
-     * order, reproducing the physical layout of a consult) - but
-     * without paying parse/normalize/codegen on this thread.  This
-     * is the warm-engine hot path of the psid worker loop.
-     */
-    void load(const kl0::CompiledProgram &image);
-
-    /** Same, first re-configuring the cache model for this run. */
-    void load(const kl0::CompiledProgram &image,
-              const CacheConfig &cache);
-
-    /**
-     * Return the machine to its just-constructed state: memory
-     * contents and mappings, cache residency, work file, texture
-     * ring, statistics, registers, vector/process state.  The symbol
-     * table and heap image are cleared with everything else, so a
-     * load()/consult() must follow before the next solve().
-     */
-    void resetMachine();
-
-    /** Compile and run a query given as text, e.g. "append(X,Y,[1])". */
-    RunResult solve(const std::string &query_text,
-                    const RunLimits &limits = RunLimits());
-
-    /** Compile and run a query term. */
-    RunResult solve(const kl0::TermPtr &goal,
-                    const RunLimits &limits = RunLimits());
 
     /** @name Component access (benches, tools, tests) */
     /// @{
-    MemorySystem &mem() { return _acc.mem(); }
+    MemorySystem &mem() { return _acc.heap(); }
     micro::Sequencer &seq() { return _acc.seq(); }
     kl0::SymbolTable &symbols() { return _syms; }
-    const kl0::CodeGen &codegen() const { return _codegen; }
     /// @}
-
-  private:
-    RunResult run(const kl0::QueryCode &qc, const RunLimits &limits);
-
-    kl0::CodeGen _codegen;
 };
 
 } // namespace interp

@@ -272,7 +272,6 @@ struct RunResult
     std::uint64_t timeNs = 0;      ///< model time (steps + stalls)
     std::uint64_t steps = 0;       ///< microinstruction steps
     RunStatus status = RunStatus::Ok;
-    bool stepLimitHit = false;     ///< status == StepLimit (legacy)
     std::string output;            ///< text written by write/nl/tab
 
     bool succeeded() const { return !solutions.empty(); }

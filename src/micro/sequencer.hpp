@@ -30,7 +30,6 @@
 #include "mem/memory_system.hpp"
 #include "mem/trace.hpp"
 #include "micro/fields.hpp"
-#include "micro/microinst.hpp"
 #include "micro/work_file.hpp"
 
 namespace psi {
@@ -89,20 +88,6 @@ class Sequencer
          WfMode s2 = WfMode::None, WfMode d = WfMode::None)
     {
         account(m, b, s1, s2, d, -1);
-    }
-
-    /**
-     * Account one reified microinstruction.  For memory-carrying
-     * instructions the access itself must still be performed by the
-     * readMem/writeMem/pushMem helpers (which need the address and
-     * datum); exec() is the accounting-only form used by tools and
-     * tests over MicroInst values.
-     */
-    void
-    exec(const MicroInst &mi)
-    {
-        account(mi.module, mi.branch, mi.src1, mi.src2, mi.dest,
-                mi.hasMemory() ? mi.cacheCmd : -1);
     }
 
     /**

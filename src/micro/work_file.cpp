@@ -1,9 +1,5 @@
 #include "micro/work_file.hpp"
 
-#include <sstream>
-
-#include "micro/microinst.hpp"
-
 namespace psi {
 namespace micro {
 
@@ -62,22 +58,6 @@ branchOpName(BranchOp op)
       case BranchOp::NumOps: break;
     }
     return "?";
-}
-
-std::string
-MicroInst::str() const
-{
-    std::ostringstream os;
-    os << moduleName(module) << " [" << branchOpName(branch) << "]";
-    if (src1 != WfMode::None)
-        os << " s1=" << wfModeName(src1);
-    if (src2 != WfMode::None)
-        os << " s2=" << wfModeName(src2);
-    if (dest != WfMode::None)
-        os << " d=" << wfModeName(dest);
-    if (cacheCmd >= 0)
-        os << " mem=" << cacheCmdName(static_cast<CacheCmd>(cacheCmd));
-    return os.str();
 }
 
 } // namespace micro

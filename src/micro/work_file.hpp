@@ -19,8 +19,10 @@
  *   0x3C0-0x3FF  constants      64-word constant storage, directly
  *                               addressable from a microinstruction.
  *
- * The two address registers WFAR1/WFAR2 support indirect access with
- * automatic post-increment / pre-decrement, matching the hardware.
+ * The model keeps the words only.  An access the firmware makes
+ * through the address registers WFAR1/WFAR2 or the base register
+ * WFCBR is charged as that WfMode in Table 6 (micro/fields.hpp); the
+ * registers themselves are not modelled.
  */
 
 #ifndef PSI_MICRO_WORK_FILE_HPP
@@ -51,7 +53,7 @@ constexpr std::uint16_t kWfGeneralBase = 0x0E0;
 constexpr std::uint16_t kWfConstBase = 0x3C0;
 constexpr std::uint16_t kWfConstWords = 64;
 
-/** The register file proper plus its address registers. */
+/** The register file's words. */
 class WorkFile
 {
   public:
@@ -71,48 +73,8 @@ class WorkFile
         _words[addr] = w;
     }
 
-    // --- WFAR1 / WFAR2: indirect addressing with auto inc/dec --------
-
-    std::uint16_t wfar1() const { return _wfar1; }
-    std::uint16_t wfar2() const { return _wfar2; }
-    void setWfar1(std::uint16_t a) { _wfar1 = a; }
-    void setWfar2(std::uint16_t a) { _wfar2 = a; }
-
-    /** Write through WFAR1 with post-increment. */
-    void writeWfar1Inc(const TaggedWord &w) { _words[_wfar1++] = w; }
-    /** Read through WFAR1 after pre-decrement. */
-    const TaggedWord &readWfar1Dec() { return _words[--_wfar1]; }
-
-    void writeWfar2Inc(const TaggedWord &w) { _words[_wfar2++] = w; }
-
-    // --- WFCBR: base register for the general area --------------------
-
-    std::uint16_t wfcbr() const { return _wfcbr; }
-    void setWfcbr(std::uint16_t a) { _wfcbr = a; }
-
-    /**
-     * Classify a direct WF address into the Table 6 mode rows.
-     * Indirect and base-relative accesses are classified by the
-     * addressing path, not the address, so callers that use WFAR1/2,
-     * PDR/CDR or WFCBR pass the corresponding mode explicitly.
-     */
-    static WfMode
-    directMode(std::uint16_t addr)
-    {
-        if (addr < kWfRegBase)
-            return WfMode::Direct00_0F;
-        if (addr < kWfFrameBuf0)
-            return WfMode::Direct10_3F;
-        if (addr >= kWfConstBase && addr < kWfConstBase + kWfConstWords)
-            return WfMode::Constant;
-        return WfMode::None;
-    }
-
   private:
     std::array<TaggedWord, kWfWords> _words{};
-    std::uint16_t _wfar1 = 0;
-    std::uint16_t _wfar2 = kWfTrailBuf;
-    std::uint16_t _wfcbr = kWfGeneralBase;
 };
 
 } // namespace micro

@@ -171,7 +171,7 @@ TEST(EngineControl, TailCallChainRunsLong)
     eng.consult("loop(0). loop(N) :- N > 0, N1 is N - 1, loop(N1).");
     auto r = eng.solve("loop(50000)");
     EXPECT_TRUE(r.succeeded());
-    EXPECT_FALSE(r.stepLimitHit);
+    EXPECT_EQ(r.status, RunStatus::Ok);
 }
 
 TEST(EngineControl, StepLimitStopsRunaway)
@@ -182,7 +182,7 @@ TEST(EngineControl, StepLimitStopsRunaway)
     lim.maxSteps = 20000;
     auto r = eng.solve("spin", lim);
     EXPECT_FALSE(r.succeeded());
-    EXPECT_TRUE(r.stepLimitHit);
+    EXPECT_EQ(r.status, RunStatus::StepLimit);
 
     // Fast mode counts dispatches against the same limit.  The
     // deadline is a backstop: a loop that stopped counting them would
@@ -193,7 +193,6 @@ TEST(EngineControl, StepLimitStopsRunaway)
     r = fe.solve("spin", lim);
     EXPECT_FALSE(r.succeeded());
     EXPECT_EQ(r.status, RunStatus::StepLimit);
-    EXPECT_TRUE(r.stepLimitHit);
 }
 
 TEST(EngineControl, UndefinedPredicateJustFails)

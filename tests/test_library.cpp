@@ -135,25 +135,3 @@ INSTANTIATE_TEST_SUITE_P(BothEngines, Library,
                                         ? "psi"
                                         : "baseline";
                          });
-
-TEST(MicroInstTest, StrAndExec)
-{
-    micro::MicroInst mi;
-    mi.module = micro::Module::Unify;
-    mi.branch = micro::BranchOp::T1CaseTag;
-    mi.src1 = micro::WfMode::Direct10_3F;
-    EXPECT_NE(mi.str().find("unify"), std::string::npos);
-    EXPECT_NE(mi.str().find("case"), std::string::npos);
-    EXPECT_FALSE(mi.hasMemory());
-    EXPECT_FALSE(mi.branchIsNop());
-
-    MemorySystem mem;
-    micro::Sequencer seq(mem);
-    seq.exec(mi);
-    mi.cacheCmd = static_cast<int>(CacheCmd::Read);
-    EXPECT_TRUE(mi.hasMemory());
-    seq.exec(mi);
-    EXPECT_EQ(seq.stats().totalSteps(), 2u);
-    EXPECT_EQ(seq.stats().cacheSteps[static_cast<int>(CacheCmd::Read)],
-              1u);
-}

@@ -210,3 +210,29 @@ TEST(ProcessCall, RunLimitsHoldInsideProcessCall)
         return wam.solve("p", lim);
     });
 }
+
+TEST(ProcessCall, LongTargetRunsToTheEndOnEveryEngine)
+{
+    // Only the run's limits bound a process_call target.  This one
+    // takes 1.7 M inferences: over 200 M microinstruction steps on the
+    // fidelity engine, and as many inferences on the fast engine.
+    const char *prog = "count(0).\n"
+                       "count(N) :- N > 0, N1 is N - 1, count(N1).\n"
+                       "go :- count(1700000).\n"
+                       "p :- process_call(1, go).";
+    Engine psi;
+    psi.consult(prog);
+    RunResult r = psi.solve("p");
+    EXPECT_TRUE(r.succeeded());
+    EXPECT_GT(r.steps, 200'000'000u);
+
+    fast::FastEngine fe;
+    fe.load(kl0::CompiledProgram::compile(prog));
+    RunResult f = fe.solve("p");
+    EXPECT_TRUE(f.succeeded());
+    EXPECT_EQ(f.inferences, r.inferences);
+
+    baseline::WamEngine wam;
+    wam.consult(prog);
+    EXPECT_TRUE(wam.solve("p").succeeded());
+}

@@ -273,7 +273,7 @@ TEST(WamControl, StepLimit)
     interp::RunLimits lim;
     lim.maxSteps = 5000;
     auto r = eng.solve("spin", lim);
-    EXPECT_TRUE(r.stepLimitHit);
+    EXPECT_EQ(r.status, interp::RunStatus::StepLimit);
     // The limit is checked before each instruction: the run stops
     // one instruction past it, with the model time of exactly those.
     EXPECT_EQ(r.steps, 5001u);

@@ -13,50 +13,6 @@ TEST(WorkFile, ReadWriteRoundTrip)
     EXPECT_EQ(wf.read(0x26).tag, Tag::Undef);
 }
 
-TEST(WorkFile, Wfar1AutoIncrement)
-{
-    WorkFile wf;
-    wf.setWfar1(kWfFrameBuf0);
-    wf.writeWfar1Inc({Tag::Int, 1});
-    wf.writeWfar1Inc({Tag::Int, 2});
-    EXPECT_EQ(wf.wfar1(), kWfFrameBuf0 + 2);
-    EXPECT_EQ(wf.read(kWfFrameBuf0).data, 1u);
-    EXPECT_EQ(wf.read(kWfFrameBuf0 + 1).data, 2u);
-}
-
-TEST(WorkFile, Wfar1PreDecrementRead)
-{
-    WorkFile wf;
-    wf.write(10, {Tag::Int, 7});
-    wf.setWfar1(11);
-    EXPECT_EQ(wf.readWfar1Dec().data, 7u);
-    EXPECT_EQ(wf.wfar1(), 10u);
-}
-
-TEST(WorkFile, Wfar2IndependentOfWfar1)
-{
-    WorkFile wf;
-    wf.setWfar1(0x40);
-    wf.setWfar2(kWfTrailBuf);
-    wf.writeWfar2Inc({Tag::Int, 5});
-    EXPECT_EQ(wf.wfar1(), 0x40u);
-    EXPECT_EQ(wf.wfar2(), kWfTrailBuf + 1u);
-    EXPECT_EQ(wf.read(kWfTrailBuf).data, 5u);
-}
-
-TEST(WorkFile, DirectModeClassification)
-{
-    EXPECT_EQ(WorkFile::directMode(0x00), WfMode::Direct00_0F);
-    EXPECT_EQ(WorkFile::directMode(0x0F), WfMode::Direct00_0F);
-    EXPECT_EQ(WorkFile::directMode(0x10), WfMode::Direct10_3F);
-    EXPECT_EQ(WorkFile::directMode(0x3F), WfMode::Direct10_3F);
-    EXPECT_EQ(WorkFile::directMode(kWfConstBase), WfMode::Constant);
-    EXPECT_EQ(WorkFile::directMode(kWfConstBase + kWfConstWords - 1),
-              WfMode::Constant);
-    // Frame buffers are not directly addressable.
-    EXPECT_EQ(WorkFile::directMode(kWfFrameBuf0), WfMode::None);
-}
-
 TEST(WorkFile, LayoutRegionsDisjoint)
 {
     EXPECT_LT(kWfArgBase + 16, kWfFrameBuf0 + 0u);
